@@ -129,6 +129,18 @@ func TestGateVerdicts(t *testing.T) {
 			if v.Status != c.status {
 				t.Errorf("status = %q, want %q", v.Status, c.status)
 			}
+			// The verdict carries exactly these top-level fields.
+			var fields map[string]json.RawMessage
+			if err := json.Unmarshal(stdout.Bytes(), &fields); err != nil {
+				t.Fatal(err)
+			}
+			for f := range fields {
+				switch f {
+				case "schema", "status", "baseline", "current", "tolerance", "benchmarks", "cache":
+				default:
+					t.Errorf("unexpected verdict field %q", f)
+				}
+			}
 			oks, fails := 0, 0
 			for _, cmp := range v.Benchmarks {
 				if cmp.OK {

@@ -8,8 +8,7 @@
 //
 //	rfserved [-addr host:port] [-addr-file path] [-store dir]
 //	         [-store-max-mb n] [-store-remote url,...] [-store-shards n]
-//	         [-workers n] [-sweep-workers n] [-max-jobs n]
-//	         [-lockstep width] [-wal-dir dir]
+//	         [-workers n] [-sweep-workers n] [-max-jobs n] [-wal-dir dir]
 //	         [-tenants file] [-default-rate r] [-default-burst n]
 //	         [-max-active-per-tenant n] [-max-queued-per-tenant n]
 //	         [-max-store-mb-per-tenant n] [-warehouse-dir dir]
@@ -123,7 +122,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "global concurrent-simulation bound (0: GOMAXPROCS; coordinator mode: 256)")
 		sweepWork  = flag.Int("sweep-workers", 0, "per-sweep worker budget cap (0: same as -workers)")
 		maxJobs    = flag.Int("max-jobs", 0, "reject specs expanding to more jobs than this (0: 100000)")
-		lockstep   = flag.Int("lockstep", 0, "lockstep batch width for local simulation: 0 groups up to 16 same-workload configurations per trace pass, 1 disables grouping (results are identical either way)")
 		walDir     = flag.String("wal-dir", "", "write-ahead-log directory enabling crash-resume (empty: no journal, state dies with the process)")
 		tenantsF   = flag.String("tenants", "", "tenants JSON file enabling API-key auth and per-tenant quotas")
 		defRate    = flag.Float64("default-rate", 0, "default per-tenant request rate in req/s (0: unlimited)")
@@ -154,7 +152,6 @@ func main() {
 		MaxWorkers:      *workers,
 		MaxSweepWorkers: *sweepWork,
 		MaxJobs:         *maxJobs,
-		Lockstep:        *lockstep,
 	}
 	defaults := tenant.Limits{
 		Rate: *defRate, Burst: *defBurst,
@@ -322,12 +319,10 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "rfserved: joining fleet at %s\n", *join)
 		wcfg := dispatch.WorkerConfig{
-			Coordinator:   *join,
-			Name:          name,
-			Capacity:      *capacity,
-			Simulate:      srv.RunJob,
-			SimulateBatch: srv.RunJobs,
-			Lockstep:      *lockstep,
+			Coordinator: *join,
+			Name:        name,
+			Capacity:    *capacity,
+			Simulate:    srv.RunJob,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "rfserved: "+format+"\n", args...)
 			},

@@ -20,9 +20,7 @@
 //     policies) plus the single-banked baselines and a one-level
 //     multi-banked extension;
 //   - internal/sim — the cycle-level 8-way out-of-order processor
-//     (Table 1 of the paper) that evaluates them, including the lockstep
-//     engine that drives several register file configurations off one
-//     shared trace/predictor front-end pass;
+//     (Table 1 of the paper) that evaluates them, one job per call;
 //   - internal/arch — the architecture-family registry backing rf: one
 //     place where each family's name, parameter schema, validator and
 //     builder live;
@@ -52,9 +50,9 @@
 // and scales out via -dispatch (coordinator) and -join (worker). All
 // print their build + schema version with -version. See README.md for
 // usage, docs/ARCHITECTURE.md for the end-to-end system map (data flow,
-// the lockstep front-end/back-end split, the NDJSON wire invariant, the
-// fleet lease protocol), and the runnable programs under examples/,
-// which compile against the public rf surface only.
+// the NDJSON wire invariant, the fleet lease protocol), and the runnable
+// programs under examples/, which compile against the public rf surface
+// only.
 //
 // The benchmarks in bench_test.go regenerate each experiment at a reduced
 // instruction budget and report the headline metrics via b.ReportMetric.

@@ -805,62 +805,3 @@ func TestPriorityOrdering(t *testing.T) {
 		}
 	}
 }
-
-// TestWorkerLockstepBatches pins the worker batch seam: with a
-// SimulateBatch hook, every batch a worker executes holds same-workload
-// jobs only, every leased job reaches the hook exactly once, and the
-// stream stays byte-identical to a single-node run.
-func TestWorkerLockstepBatches(t *testing.T) {
-	var mu sync.Mutex
-	var batches [][]sweep.Job
-	batch := func(js []sweep.Job) []sim.Result {
-		mu.Lock()
-		batches = append(batches, js)
-		mu.Unlock()
-		res := make([]sim.Result, len(js))
-		for i, j := range js {
-			res[i] = fakeSim(j)
-		}
-		return res
-	}
-	f := newFleet(t, dispatch.Config{})
-	ack := f.submit(testSpec) // queue all 6 jobs before the worker polls
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	f.mu.Lock()
-	f.cancels = append(f.cancels, cancel)
-	f.done = append(f.done, done)
-	f.mu.Unlock()
-	go func() {
-		done <- dispatch.RunWorker(ctx, dispatch.WorkerConfig{
-			Coordinator:   f.ts.URL,
-			Name:          "batcher",
-			Capacity:      6,
-			SimulateBatch: batch,
-		})
-	}()
-
-	got := f.streamAll(ack.ResultsURL)
-	want := singleNodeNDJSON(t, testSpec, fakeSim)
-	if got != want {
-		t.Errorf("batched fleet stream differs from single-node output:\n--- fleet ---\n%s--- single ---\n%s", got, want)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	total := 0
-	for _, js := range batches {
-		total += len(js)
-		for _, j := range js[1:] {
-			if j.Profile != js[0].Profile {
-				t.Errorf("batch mixes workloads: %s and %s", js[0].Profile.Name, j.Profile.Name)
-			}
-		}
-	}
-	if total != 6 {
-		t.Errorf("batches covered %d jobs, want 6", total)
-	}
-	if st := f.coord.Stats(); st.Completed != 6 || st.Fallbacks != 0 {
-		t.Errorf("coordinator stats = %+v, want 6 remote completions and no fallbacks", st)
-	}
-}

@@ -38,17 +38,6 @@ type WorkerConfig struct {
 	// mode routes this through its own cached runner, so a worker's local
 	// store also deduplicates.
 	Simulate func(sweep.Job) sim.Result
-	// SimulateBatch, when non-nil, executes a group of same-workload jobs
-	// in one call, returning results in job order — the lockstep seam:
-	// rfserved worker mode routes batches through its cached runner, which
-	// drives them as one shared trace pass. When both hooks are nil the
-	// worker batches through sweep.SimulateLockstep; when only Simulate is
-	// set, every job runs through it individually.
-	SimulateBatch func([]sweep.Job) []sim.Result
-	// Lockstep caps how many same-workload jobs of one poll are grouped
-	// into a batch: 0 uses sweep.DefaultLockstepWidth, 1 disables grouping
-	// (every job simulates alone).
-	Lockstep int
 	// ObjectsURL advertises where this worker serves its local result
 	// store over GET /v1/objects/{key} (its own rfserved base URL).
 	// Empty means no advertisement: the coordinator will not route peer
@@ -84,14 +73,8 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = runtime.GOMAXPROCS(0)
 	}
-	if cfg.SimulateBatch == nil && cfg.Simulate == nil {
-		cfg.SimulateBatch = sweep.SimulateLockstep
-	}
 	if cfg.Simulate == nil {
 		cfg.Simulate = sweep.Simulate
-	}
-	if cfg.Lockstep == 1 {
-		cfg.SimulateBatch = nil
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -175,20 +158,16 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			delete(held, res.Task)
 		}
 		backlog = nil
-		for _, g := range groupAssignments(resp.Jobs, cfg) {
-			inflight += len(g)
-			for _, a := range g {
-				held[a.Task] = struct{}{}
-			}
-			go func(g []api.Assignment) {
-				for n, res := range simulateGroup(g, cfg) {
-					select {
-					case finished <- api.TaskResult{Task: g[n].Task, Key: g[n].Key, Result: res}:
-					case <-ctx.Done():
-						return
-					}
+		for _, a := range resp.Jobs {
+			inflight++
+			held[a.Task] = struct{}{}
+			go func(a api.Assignment) {
+				res := cfg.Simulate(a.Job)
+				select {
+				case finished <- api.TaskResult{Task: a.Task, Key: a.Key, Result: res}:
+				case <-ctx.Done():
 				}
-			}(g)
+			}(a)
 		}
 		if inflight < capacity {
 			// Capacity to spare: poll again immediately. The coordinator
@@ -198,51 +177,6 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			timer.Reset(w.heartbeat())
 		}
 	}
-}
-
-// groupAssignments partitions one poll's assignments into execution
-// units: lockstep batches of same-workload jobs when batching is on,
-// singletons otherwise. A coordinator leases a sweep's jobs roughly in
-// spec order, so a worker's poll routinely lands several configurations
-// of the same benchmark — exactly what one shared trace pass absorbs.
-func groupAssignments(as []api.Assignment, cfg WorkerConfig) [][]api.Assignment {
-	if cfg.SimulateBatch == nil || len(as) <= 1 {
-		groups := make([][]api.Assignment, len(as))
-		for i := range as {
-			groups[i] = as[i : i+1 : i+1]
-		}
-		return groups
-	}
-	js := make([]sweep.Job, len(as))
-	for i := range as {
-		js[i] = as[i].Job
-	}
-	width := cfg.Lockstep
-	if width == 0 {
-		width = sweep.DefaultLockstepWidth
-	}
-	idx := sweep.LockstepGroups(js, width)
-	groups := make([][]api.Assignment, len(idx))
-	for n, g := range idx {
-		ga := make([]api.Assignment, len(g))
-		for m, i := range g {
-			ga[m] = as[i]
-		}
-		groups[n] = ga
-	}
-	return groups
-}
-
-// simulateGroup executes one unit, returning results in assignment order.
-func simulateGroup(g []api.Assignment, cfg WorkerConfig) []sim.Result {
-	if cfg.SimulateBatch == nil {
-		return []sim.Result{cfg.Simulate(g[0].Job)}
-	}
-	js := make([]sweep.Job, len(g))
-	for i := range g {
-		js[i] = g[i].Job
-	}
-	return cfg.SimulateBatch(js)
 }
 
 // workerState is one worker's registration state over the shared client.

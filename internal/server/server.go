@@ -89,14 +89,6 @@ type Config struct {
 	MaxJobs int
 	// MaxBodyBytes bounds the request body of a submission; 0 means 1 MiB.
 	MaxBodyBytes int64
-	// Lockstep controls same-workload lockstep batching in the shared
-	// runner (see sweep.RunnerConfig.Lockstep): 0 groups up to
-	// sweep.DefaultLockstepWidth configurations per trace pass, 1 disables
-	// grouping, n ≥ 2 caps batches at n. Results are byte-identical on the
-	// wire either way. Batching applies only when the server simulates
-	// locally — coordinator mode leases individual jobs to workers, which
-	// regroup them fleet-side.
-	Lockstep int
 	// Objects, when non-nil, serves this node's result store over
 	// GET/PUT /v1/objects/{key} — the remote tier other nodes read
 	// through and the fleet-peer tier workers advertise. Usually the
@@ -272,8 +264,7 @@ func New(cfg Config) *Server {
 		simulate = sweep.Simulate
 	}
 	rcfg := sweep.RunnerConfig{
-		Cache:    cfg.Cache,
-		Lockstep: cfg.Lockstep,
+		Cache: cfg.Cache,
 		SimulateContext: func(ctx context.Context, j sweep.Job) sim.Result {
 			// The per-sweep pool admitted this job; the global fair queue
 			// keeps the sum over all sweeps bounded too, handing freed
@@ -304,29 +295,6 @@ func New(cfg Config) *Server {
 			s.instrsSim.Add(res.Instructions)
 			return res
 		},
-	}
-	if cfg.Dispatcher == nil && cfg.Simulate == nil {
-		// Locally simulating server: batch same-workload jobs into one
-		// lockstep trace pass. A batch is one sequential thread of
-		// simulation, so it holds one fair-queue slot, exactly like a
-		// single job — batching changes per-job cost, not concurrency.
-		// Coordinator mode and test fakes keep the per-job path.
-		rcfg.SimulateBatchContext = func(ctx context.Context, js []sweep.Job) []sim.Result {
-			adm, _ := tenant.FromContext(ctx)
-			if adm.Tenant == "" {
-				adm.Tenant = tenant.Anonymous
-			}
-			s.fair.Acquire(context.Background(), adm.Tenant, adm.Priority)
-			defer s.fair.Release(adm.Tenant)
-			s.simsStarted.Add(uint64(len(js)))
-			t0 := time.Now()
-			res := sweep.SimulateLockstep(js)
-			s.simNanos.Add(time.Since(t0).Nanoseconds())
-			for i := range res {
-				s.instrsSim.Add(res[i].Instructions)
-			}
-			return res
-		}
 	}
 	s.runner = sweep.NewRunner(rcfg)
 
@@ -430,19 +398,6 @@ func (s *Server) CacheStats() sweep.CacheStats {
 // metrics with locally submitted sweeps.
 func (s *Server) RunJob(j sweep.Job) sim.Result {
 	return s.runner.RunOutcomes([]sweep.Job{j}, 1)[0].Result
-}
-
-// RunJobs executes a batch of jobs through the shared cached runner — the
-// worker fleet's batch hook. Same-workload jobs the cache cannot serve run
-// as one lockstep trace pass (when the server simulates locally); results
-// come back in job order.
-func (s *Server) RunJobs(js []sweep.Job) []sim.Result {
-	outs := s.runner.RunOutcomes(js, 1)
-	res := make([]sim.Result, len(outs))
-	for i := range outs {
-		res[i] = outs[i].Result
-	}
-	return res
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

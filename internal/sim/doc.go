@@ -5,12 +5,6 @@
 // wakeup/select scheduler that is allocation-free in steady state.
 //
 // A Simulator consumes one isa.Stream (normally a trace.Generator) and
-// produces a Result. The lockstep engine (NewLockstep) runs several
-// configurations of the same workload simultaneously behind one shared
-// front-end pass: a Frontend materializes the instruction stream into
-// refcounted chunks and precomputes branch-predictor outcomes once per
-// predictor geometry, and each back-end consumes a feed over those
-// chunks — results are bit-identical to running each configuration
-// alone. See docs/ARCHITECTURE.md for the front-end/back-end split and
-// its correctness argument.
+// produces a Result. Each simulation is independent: sweeps run many
+// Simulators in parallel, one job per call.
 package sim

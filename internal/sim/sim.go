@@ -114,12 +114,6 @@ type Simulator struct {
 	icache, dcache  *cache.Cache
 	ldst            *lsq.Queue
 
-	// predFeed, when non-nil, replays branch predictor outcomes computed
-	// once by a shared lockstep front-end (frontend.go); pred is nil then.
-	// The outcome sequence is identical to a private predictor's, so
-	// results do not depend on which path a simulator uses.
-	predFeed *feed
-
 	// ROB ring buffer.
 	rob      []uop
 	robHead  int
@@ -359,16 +353,7 @@ func New(cfg Config, stream isa.Stream) *Simulator {
 		readyMask: make([]uint64, (cfg.WindowSize+63)/64),
 		fetchQ:    make([]fetchEntry, cfg.FetchQueue),
 		fu:        newFUPools(&cfg),
-	}
-	if f, ok := stream.(*feed); ok {
-		// A lockstep front-end cursor carries precomputed predictor
-		// outcomes; no private predictor is built.
-		if bits, hist := f.geometry(); bits != cfg.PredictorBits || hist != cfg.HistoryBits {
-			panic("sim: front-end feed predictor geometry does not match the configuration")
-		}
-		s.predFeed = f
-	} else {
-		s.pred = bpred.NewGshareHist(cfg.PredictorBits, cfg.HistoryBits)
+		pred:      bpred.NewGshareHist(cfg.PredictorBits, cfg.HistoryBits),
 	}
 	if cfg.RF.Kind == RFOneLevel {
 		s.oneLevel[0] = s.intFile.(*core.OneLevel)
@@ -1104,13 +1089,7 @@ func (s *Simulator) fetch(t uint64) {
 		s.pendingValid = false
 		if in.Class == isa.Branch {
 			s.branches++
-			var correct bool
-			if s.predFeed != nil {
-				correct = s.predFeed.Correct()
-			} else {
-				correct = s.pred.Update(in.PC, in.Taken)
-			}
-			if !correct {
+			if !s.pred.Update(in.PC, in.Taken) {
 				s.mispredicts++
 				fe.mispredicted = true
 				s.blockedBranch = true

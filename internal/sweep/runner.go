@@ -54,23 +54,13 @@ type RunnerConfig struct {
 	// still return a valid Result even when it is already canceled,
 	// because the runner caches whatever they return.
 	SimulateContext func(context.Context, Job) sim.Result
-	// Lockstep controls grouping of same-workload jobs into lockstep
-	// batches driven by one shared front-end pass (sim.Lockstep): 0 groups
-	// up to DefaultLockstepWidth configurations, 1 disables grouping (the
-	// sequential path), n ≥ 2 caps batches at n. Results are bit-identical
-	// either way; grouping only removes redundant trace generation and
-	// branch prediction work. Grouping activates when the batch hooks
-	// below are set or when the per-job Simulate/SimulateContext hooks are
-	// left at their defaults — a custom per-job hook expects to see every
-	// job and is honored unchanged.
-	Lockstep int
-	// SimulateBatch, when non-nil, simulates a lockstep group (all jobs
-	// share one workload) and returns results in job order. Nil uses
-	// SimulateLockstep.
+	// SimulateBatch, when non-nil and Simulate is nil, becomes the
+	// Simulate hook: it is called with one job at a time and must return
+	// one result.
+	//
+	// Deprecated: set Simulate. It remains only for the frozen benchmark
+	// module under bench/, its sole caller.
 	SimulateBatch func([]Job) []sim.Result
-	// SimulateBatchContext, when non-nil, takes precedence over
-	// SimulateBatch and receives the batch context, like SimulateContext.
-	SimulateBatchContext func(context.Context, []Job) []sim.Result
 	// Cache supplies the result cache: an in-memory MemCache, the
 	// disk-backed store in internal/store, or a Tiered combination. Nil
 	// uses a fresh MemCache.
@@ -86,10 +76,6 @@ type RunnerConfig struct {
 type Runner struct {
 	cfg   RunnerConfig
 	cache Cache
-	// customSim records that the caller supplied a per-job simulation hook
-	// before defaulting: lockstep grouping then stays off unless a batch
-	// hook is also provided, so every job still reaches the custom hook.
-	customSim bool
 
 	mu    sync.Mutex
 	stats CacheStats
@@ -97,7 +83,10 @@ type Runner struct {
 
 // NewRunner returns a Runner with the given configuration.
 func NewRunner(cfg RunnerConfig) *Runner {
-	custom := cfg.Simulate != nil || cfg.SimulateContext != nil
+	if cfg.Simulate == nil && cfg.SimulateBatch != nil {
+		batch := cfg.SimulateBatch
+		cfg.Simulate = func(j Job) sim.Result { return batch([]Job{j})[0] }
+	}
 	if cfg.Simulate == nil {
 		cfg.Simulate = Simulate
 	}
@@ -105,45 +94,7 @@ func NewRunner(cfg RunnerConfig) *Runner {
 	if cache == nil {
 		cache = NewMemCache()
 	}
-	return &Runner{cfg: cfg, cache: cache, customSim: custom}
-}
-
-// lockstepGroups plans the lockstep batches for the unique (non-cached)
-// job indices, or nil when grouping is off. Each group occupies one
-// parallelism slot, like a single job on the sequential path.
-func (r *Runner) lockstepGroups(jobs []Job, unique []int) [][]int {
-	if r.cfg.Lockstep == 1 {
-		return nil
-	}
-	if r.customSim && r.cfg.SimulateBatch == nil && r.cfg.SimulateBatchContext == nil {
-		return nil
-	}
-	width := r.cfg.Lockstep
-	if width == 0 {
-		width = DefaultLockstepWidth
-	}
-	uniqJobs := make([]Job, len(unique))
-	for n, i := range unique {
-		uniqJobs[n] = jobs[i]
-	}
-	groups := LockstepGroups(uniqJobs, width)
-	for _, g := range groups {
-		for n := range g {
-			g[n] = unique[g[n]]
-		}
-	}
-	return groups
-}
-
-// simulateBatch runs one lockstep group through the configured batch hook.
-func (r *Runner) simulateBatch(ctx context.Context, js []Job) []sim.Result {
-	if r.cfg.SimulateBatchContext != nil {
-		return r.cfg.SimulateBatchContext(ctx, js)
-	}
-	if r.cfg.SimulateBatch != nil {
-		return r.cfg.SimulateBatch(js)
-	}
-	return SimulateLockstep(js)
+	return &Runner{cfg: cfg, cache: cache}
 }
 
 // Outcome is one job's result plus its cache provenance.
@@ -243,26 +194,16 @@ func (r *Runner) RunOutcomesContext(ctx context.Context, jobs []Job, parallelism
 		}
 	}
 
-	// Plan the work units: lockstep groups when grouping is on, one unit
-	// per unique job otherwise. Either way a unit occupies one parallelism
-	// slot, and a canceled batch skips units that have not started.
-	groups := r.lockstepGroups(jobs, unique)
-	lockstep := groups != nil
-	if !lockstep {
-		groups = make([][]int, len(unique))
-		for n := range unique {
-			groups[n] = unique[n : n+1 : n+1]
-		}
-	}
-
+	// Each unique job occupies one parallelism slot; a canceled batch
+	// skips jobs that have not started.
 	sem := make(chan struct{}, parallelism)
 	var wg sync.WaitGroup
-	for _, g := range groups {
+	for _, i := range unique {
 		if ctx.Err() != nil {
 			break
 		}
 		wg.Add(1)
-		go func(g []int) {
+		go func(i int) {
 			defer wg.Done()
 			select {
 			case sem <- struct{}{}:
@@ -273,44 +214,27 @@ func (r *Runner) RunOutcomesContext(ctx context.Context, jobs []Job, parallelism
 			if ctx.Err() != nil {
 				return
 			}
-			var results []sim.Result
-			if lockstep {
-				js := make([]Job, len(g))
-				for n, i := range g {
-					js[n] = jobs[i]
-				}
-				results = r.simulateBatch(ctx, js)
-				if len(results) != len(g) {
-					panic("sweep: batch simulate hook returned wrong result count")
-				}
+			var res sim.Result
+			if r.cfg.SimulateContext != nil {
+				res = r.cfg.SimulateContext(ctx, jobs[i])
 			} else {
-				i := g[0]
-				var one [1]sim.Result
-				if r.cfg.SimulateContext != nil {
-					one[0] = r.cfg.SimulateContext(ctx, jobs[i])
-				} else {
-					one[0] = r.cfg.Simulate(jobs[i])
-				}
-				results = one[:]
+				res = r.cfg.Simulate(jobs[i])
 			}
-			for n, i := range g {
-				res := results[n]
-				outs[i].Result = res
-				k := outs[i].Key
-				var dups []int
-				if !r.cfg.DisableCache {
-					r.cache.Put(k, res)
-					dups = waiters[k]
-					for _, w := range dups {
-						outs[w].Result = res
-					}
-				}
-				emit(i, false)
+			outs[i].Result = res
+			k := outs[i].Key
+			var dups []int
+			if !r.cfg.DisableCache {
+				r.cache.Put(k, res)
+				dups = waiters[k]
 				for _, w := range dups {
-					emit(w, true)
+					outs[w].Result = res
 				}
 			}
-		}(g)
+			emit(i, false)
+			for _, w := range dups {
+				emit(w, true)
+			}
+		}(i)
 	}
 	wg.Wait()
 	return outs, ctx.Err()

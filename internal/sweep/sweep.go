@@ -84,3 +84,16 @@ func (j Job) profile() trace.Profile {
 func Simulate(j Job) sim.Result {
 	return sim.New(j.Config, trace.New(j.profile())).Run()
 }
+
+// SimulateLockstep simulates each job in turn and returns the results in
+// job order; jobs may come from different workloads.
+//
+// Deprecated: use Simulate per job. It remains only for the frozen
+// benchmark module under bench/, its sole caller.
+func SimulateLockstep(jobs []Job) []sim.Result {
+	res := make([]sim.Result, len(jobs))
+	for i := range jobs {
+		res[i] = Simulate(jobs[i])
+	}
+	return res
+}

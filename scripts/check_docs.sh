@@ -6,7 +6,7 @@
 #   2. every package path named in the text (internal/..., rf/...,
 #      cmd/..., examples/..., scripts/...) exists on disk;
 #   3. every "command -flag" pair named in the text (e.g. `rfbatch
-#      -lockstep`, `rfserved -store`) is a flag the command actually
+#      -ndjson`, `rfserved -store`) is a flag the command actually
 #      defines;
 #   4. every Go test or benchmark name mentioned (TestFoo/BenchmarkBar/
 #      FuzzBaz) exists in some _test.go file.
