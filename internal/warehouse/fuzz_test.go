@@ -2,14 +2,20 @@ package warehouse
 
 import (
 	"testing"
+
+	"repro/rf/api"
 )
 
 // FuzzParseQuery hardens the query document parser: whatever bytes a
 // tenant posts to /v1/query, ParseQuery must either reject them or
 // return a document that re-validates cleanly and evaluates without
-// panicking — over an empty warehouse and over a populated segment.
-// The committed corpus under testdata/fuzz seeds one document per op
-// plus the rejection classes the unit tests pin.
+// panicking — over an empty warehouse, over a populated segment, and
+// over mixedSegments, whose dictionaries differ between segments. Over
+// mixedSegments the document's filters must also match the same rows
+// under every op, and its aggregate groups must count exactly those
+// rows. The committed corpus under testdata/fuzz seeds one document per
+// op, the rejection classes the unit tests pin, and multi-segment
+// group-by and filter mixes.
 func FuzzParseQuery(f *testing.F) {
 	seeds := []string{
 		`{}`,
@@ -34,6 +40,7 @@ func FuzzParseQuery(f *testing.F) {
 	jobs, rows := testJobsRows(f)
 	seg := buildSegment(f, "s000001", "", jobs, rows)
 	segSets := [][]*Segment{nil, {seg}}
+	mixed := mixedSegments(f)
 
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		q, err := ParseQuery(doc)
@@ -53,6 +60,28 @@ func FuzzParseQuery(f *testing.F) {
 			}
 			if res == nil {
 				t.Fatalf("Eval returned nil result for doc: %s", doc)
+			}
+		}
+		matched := -1
+		for _, op := range []string{api.QueryOpRows, api.QueryOpAggregate, api.QueryOpSeries, api.QueryOpPareto} {
+			qo := *q
+			qo.Op = op
+			res, err := Eval(mixed, &qo)
+			if err != nil {
+				t.Fatalf("op %s: %v\ndoc: %s", op, err, doc)
+			}
+			if matched >= 0 && res.Matched != matched {
+				t.Fatalf("op %s matched %d rows, op rows %d\ndoc: %s", op, res.Matched, matched, doc)
+			}
+			matched = res.Matched
+			if op == api.QueryOpAggregate {
+				n := 0
+				for _, g := range res.Groups {
+					n += g.Count
+				}
+				if n != res.Matched {
+					t.Fatalf("aggregate groups count %d rows, matched %d\ndoc: %s", n, res.Matched, doc)
+				}
 			}
 		}
 	})

@@ -60,11 +60,6 @@ type Segment struct {
 	size  int      // encoded byte size, for the metrics accounting
 }
 
-// dict looks one row's value up in a string column.
-func (s *Segment) strAt(col string, i int) string {
-	return s.dicts[col][s.str[col][i]]
-}
-
 // Builder accumulates one sweep's rows by job index, so the sealed
 // segment is ordered by the sweep's job expansion — not by completion
 // order — and a rebuild from the store reproduces it byte-identically.

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -65,9 +66,9 @@ type Warehouse struct {
 	logf func(string, ...any)
 
 	mu       sync.Mutex
-	segs     map[string]*Segment
-	order    []string // segment sweep ids, sorted
+	segs     []*Segment // sealed segments in sweep-id order (idLess)
 	builders map[string]*Builder
+	rows     int
 	bytes    int64
 
 	queries      atomic.Uint64
@@ -84,9 +85,9 @@ func Open(dir string, opts Options) (*Warehouse, error) {
 		return nil, fmt.Errorf("warehouse: %w", err)
 	}
 	w := &Warehouse{
-		dir:  dir,
-		logf: opts.Logf,
-		segs: map[string]*Segment{}, builders: map[string]*Builder{},
+		dir:      dir,
+		logf:     opts.Logf,
+		builders: map[string]*Builder{},
 	}
 	if w.logf == nil {
 		w.logf = func(string, ...any) {}
@@ -110,28 +111,52 @@ func Open(dir string, opts Options) (*Warehouse, error) {
 			w.logf("warehouse: skipping %s: %v", e.Name(), err)
 			continue
 		}
-		w.segs[seg.Sweep] = seg
-		w.bytes += int64(len(data))
+		w.put(seg)
 	}
-	w.reorder()
 	return w, nil
 }
 
-// reorder rebuilds the sorted segment id list; callers hold w.mu (or
-// have exclusive access during Open).
-func (w *Warehouse) reorder() {
-	w.order = w.order[:0]
-	for id := range w.segs {
-		w.order = append(w.order, id)
+// idLess orders sweep ids: shorter first, then lexicographic, so
+// "s1000000" sorts after "s999999" even though the zero-padded width
+// overflowed.
+func idLess(a, b string) bool {
+	if len(a) != len(b) {
+		return len(a) < len(b)
 	}
-	// Shorter ids first, then lexicographic: "s1000000" sorts after
-	// "s999999" even though the zero-padded width overflowed.
-	sort.Slice(w.order, func(a, b int) bool {
-		if len(w.order[a]) != len(w.order[b]) {
-			return len(w.order[a]) < len(w.order[b])
-		}
-		return w.order[a] < w.order[b]
-	})
+	return a < b
+}
+
+// find returns where sweepID's segment is, or would be, in w.segs, and
+// whether it is there. Callers hold w.mu (or have exclusive access
+// during Open), as for put and remove.
+func (w *Warehouse) find(sweepID string) (int, bool) {
+	i := sort.Search(len(w.segs), func(k int) bool { return !idLess(w.segs[k].Sweep, sweepID) })
+	return i, i < len(w.segs) && w.segs[i].Sweep == sweepID
+}
+
+// put registers a segment, replacing any segment of the same sweep.
+func (w *Warehouse) put(seg *Segment) {
+	i, ok := w.find(seg.Sweep)
+	if ok {
+		w.rows -= w.segs[i].N
+		w.bytes -= int64(w.segs[i].size)
+		w.segs[i] = seg
+	} else {
+		w.segs = slices.Insert(w.segs, i, seg)
+	}
+	w.rows += seg.N
+	w.bytes += int64(seg.size)
+}
+
+// remove drops a sweep's segment, reporting whether there was one.
+func (w *Warehouse) remove(sweepID string) bool {
+	i, ok := w.find(sweepID)
+	if ok {
+		w.rows -= w.segs[i].N
+		w.bytes -= int64(w.segs[i].size)
+		w.segs = slices.Delete(w.segs, i, i+1)
+	}
+	return ok
 }
 
 // Begin opens a builder for a newly admitted sweep of jobs rows. Any
@@ -141,10 +166,7 @@ func (w *Warehouse) reorder() {
 func (w *Warehouse) Begin(sweepID, name, tenant string, jobs int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if old := w.segs[sweepID]; old != nil {
-		delete(w.segs, sweepID)
-		w.bytes -= int64(old.size)
-		w.reorder()
+	if w.remove(sweepID) {
 		os.Remove(filepath.Join(w.dir, segFileName(sweepID)))
 	}
 	w.builders[sweepID] = NewBuilder(sweepID, name, tenant, jobs)
@@ -203,12 +225,7 @@ func (w *Warehouse) install(b *Builder) error {
 		w.logf("warehouse: persisting sweep %s: %v", seg.Sweep, err)
 	}
 	w.mu.Lock()
-	if old := w.segs[seg.Sweep]; old != nil {
-		w.bytes -= int64(old.size)
-	}
-	w.segs[seg.Sweep] = seg
-	w.bytes += int64(seg.size)
-	w.reorder()
+	w.put(seg)
 	w.mu.Unlock()
 	return nil
 }
@@ -225,7 +242,8 @@ func (w *Warehouse) Discard(sweepID string) {
 func (w *Warehouse) Has(sweepID string) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.segs[sweepID] != nil
+	_, ok := w.find(sweepID)
+	return ok
 }
 
 // RebuildSweep reconstructs one finished sweep's segment without having
@@ -287,9 +305,8 @@ func SegmentFromRows(sweepID, name string, jobs []sweep.Job, rows []sweep.Row) (
 func (w *Warehouse) Query(q *api.Query, owner string, tenanted bool) (*api.QueryResult, error) {
 	start := time.Now()
 	w.mu.Lock()
-	segs := make([]*Segment, 0, len(w.order))
-	for _, id := range w.order {
-		seg := w.segs[id]
+	segs := make([]*Segment, 0, len(w.segs))
+	for _, seg := range w.segs {
 		if tenanted && seg.Tenant != owner {
 			continue
 		}
@@ -305,10 +322,7 @@ func (w *Warehouse) Query(q *api.Query, owner string, tenanted bool) (*api.Query
 // Stats snapshots the warehouse counters.
 func (w *Warehouse) Stats() Stats {
 	w.mu.Lock()
-	st := Stats{Segments: len(w.segs), Bytes: w.bytes}
-	for _, seg := range w.segs {
-		st.Rows += seg.N
-	}
+	st := Stats{Segments: len(w.segs), Rows: w.rows, Bytes: w.bytes}
 	w.mu.Unlock()
 	st.Queries = w.queries.Load()
 	st.QuerySeconds = float64(w.queryNanos.Load()) / 1e9

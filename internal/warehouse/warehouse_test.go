@@ -479,6 +479,75 @@ func TestWarehouseLifecycleAndTenancy(t *testing.T) {
 	}
 }
 
+// TestSegmentOrderAcrossIDWidth pins the scan order Query hands to Eval:
+// shorter sweep ids first, then lexicographic, so "s1000000" follows
+// "s999999" after the zero-padded width overflows. The order must hold
+// whatever order segments are sealed, replaced, dropped or reloaded in,
+// and the row total must follow every change.
+func TestSegmentOrderAcrossIDWidth(t *testing.T) {
+	dir := t.TempDir()
+	jobs, rows := testJobsRows(t)
+	w, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seal := func(id string) {
+		t.Helper()
+		w.Begin(id, "wh-test", "", len(jobs))
+		for i := range jobs {
+			w.Add(id, i, jobs[i], rows[i])
+		}
+		if err := w.Seal(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	order := func(w *Warehouse) []string {
+		t.Helper()
+		res, err := w.Query(&api.Query{Op: api.QueryOpRows, Limit: MaxLimit}, "", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []string
+		for _, r := range res.Rows {
+			if len(ids) == 0 || ids[len(ids)-1] != r.Sweep {
+				ids = append(ids, r.Sweep)
+			}
+		}
+		return ids
+	}
+	for _, id := range []string{"s1000000", "s000002", "s999999", "s1000001", "s000010"} {
+		seal(id)
+	}
+	seal("s999999") // replaced in place
+	want := []string{"s000002", "s000010", "s999999", "s1000000", "s1000001"}
+	if got := order(w); !reflect.DeepEqual(got, want) {
+		t.Fatalf("scan order %v, want %v", got, want)
+	}
+	if st := w.Stats(); st.Segments != 5 || st.Rows != 5*len(jobs) {
+		t.Errorf("Stats = %d segments / %d rows, want 5 / %d", st.Segments, st.Rows, 5*len(jobs))
+	}
+
+	w.Begin("s000010", "wh-test", "", len(jobs)) // drops the sealed segment
+	want = []string{"s000002", "s999999", "s1000000", "s1000001"}
+	if got := order(w); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after drop: scan order %v, want %v", got, want)
+	}
+	if st := w.Stats(); st.Segments != 4 || st.Rows != 4*len(jobs) {
+		t.Errorf("after drop: Stats = %d segments / %d rows, want 4 / %d", st.Segments, st.Rows, 4*len(jobs))
+	}
+
+	w2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := order(w2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened: scan order %v, want %v", got, want)
+	}
+	if st, st2 := w.Stats(), w2.Stats(); st2.Rows != st.Rows || st2.Bytes != st.Bytes {
+		t.Errorf("reopened: Stats = %+v, want rows and bytes of %+v", st2, st)
+	}
+}
+
 func TestRebuildSweepMatchesIngest(t *testing.T) {
 	jobs, rows := testJobsRows(t)
 	live, err := Open(t.TempDir(), Options{})
