@@ -80,7 +80,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/store"
 	"repro/rf"
@@ -131,6 +130,10 @@ func main() {
 		fmt.Print(exampleSpec)
 		return
 	}
+	key := *apiKey
+	if key == "" {
+		key = os.Getenv("RF_API_KEY")
+	}
 	if *queryPath != "" {
 		if *asNDJSON {
 			fmt.Fprintln(os.Stderr, "rfbatch: -ndjson does not apply to -query (results are documents, not row streams)")
@@ -139,10 +142,6 @@ func main() {
 		if *asCSV && *asTable {
 			fmt.Fprintln(os.Stderr, "rfbatch: -csv and -table are mutually exclusive")
 			os.Exit(2)
-		}
-		key := *apiKey
-		if key == "" {
-			key = os.Getenv("RF_API_KEY")
 		}
 		if err := runQuery(*queryPath, *remote, key, *fromPath, *specPath, *sweepID, *asCSV, *asTable); err != nil {
 			fatal(err)
@@ -183,10 +182,6 @@ func main() {
 	}
 
 	if *remote != "" {
-		key := *apiKey
-		if key == "" {
-			key = os.Getenv("RF_API_KEY")
-		}
 		if err := runRemote(*remote, key, spec, *asCSV, *asNDJSON); err != nil {
 			fatal(err)
 		}
@@ -206,32 +201,11 @@ func main() {
 			fatal(err)
 		}
 	}
-	var tiers *store.Tiers
-	if *storeRem != "" {
-		key := *apiKey
-		if key == "" {
-			key = os.Getenv("RF_API_KEY")
-		}
-		ropts := store.RemoteOptions{APIKey: key}
-		var remotes []store.Tier
-		for _, u := range strings.Split(*storeRem, ",") {
-			u = strings.TrimSpace(u)
-			if u == "" {
-				continue
-			}
-			remotes = append(remotes, store.Tier{
-				Name: "remote", ID: u,
-				Backend:      store.NewRemote(u, ropts),
-				WriteThrough: true,
-			})
-		}
-		tiers = store.NewTiers(store.TierConfig{
-			Local: st, Remotes: remotes, Shards: *storeShard,
-		})
-		cfg.Cache = rf.Tiered(rf.NewMemCache(), tiers)
-	} else if st != nil {
-		cfg.Cache = rf.Tiered(rf.NewMemCache(), st)
-	}
+	remotes := store.RemoteTiers(*storeRem, store.RemoteOptions{APIKey: key})
+	tiers := store.NewTiers(store.TierConfig{
+		Local: st, Remotes: remotes, Shards: *storeShard,
+	})
+	cfg.Cache = tiers
 	if *verbose {
 		cfg.OnProgress = func(p rf.Progress) {
 			tag := ""
@@ -260,12 +234,12 @@ func main() {
 	stc := rep.Cache
 	fmt.Fprintf(os.Stderr, "rfbatch: %d runs (%d simulated, %d cache hits)\n",
 		len(rep.Rows), stc.Misses, stc.Hits)
-	if tiers != nil {
+	if len(remotes) > 0 {
 		ts := tiers.Stats()
 		fmt.Fprintf(os.Stderr, "rfbatch: remote tiers: %d hits, %d hedged (%d wins), %d errors\n",
 			ts.Hits["remote"], ts.HedgedFetches, ts.HedgeWins, ts.RemoteErrors)
-		tiers.Close()
 	}
+	tiers.Close()
 	if st != nil {
 		entries, bytes := st.Len(), st.SizeBytes()
 		if err := st.Close(); err != nil {

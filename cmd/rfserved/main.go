@@ -97,14 +97,12 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/dispatch"
 	"repro/internal/server"
 	"repro/internal/store"
-	"repro/internal/sweep"
 	"repro/internal/tenant"
 	"repro/internal/wal"
 	"repro/internal/warehouse"
@@ -222,8 +220,9 @@ func main() {
 		// fleet, behind the same tenant auth as sweep submissions.
 		cfg.Objects = st.Backend()
 	}
-	// Assemble the tiered store: local first, then the fleet-peer tier
-	// (coordinator mode with sharding on), then any explicit remotes.
+	// Assemble the result cache: memory, then the local store (if any),
+	// then the fleet-peer tier (coordinator mode with sharding on), then
+	// any explicit remotes.
 	ropts := store.RemoteOptions{APIKey: os.Getenv("RF_API_KEY")}
 	var remoteTiers []store.Tier
 	if cfg.Dispatcher != nil && *storeShard > 0 {
@@ -231,31 +230,14 @@ func main() {
 			Name: "peer", Backend: store.NewPeer(cfg.Dispatcher, ropts),
 		})
 	}
-	for _, u := range strings.Split(*storeRem, ",") {
-		u = strings.TrimSpace(u)
-		if u == "" {
-			continue
-		}
-		remoteTiers = append(remoteTiers, store.Tier{
-			Name: "remote", ID: u,
-			Backend:      store.NewRemote(u, ropts),
-			WriteThrough: true,
-		})
-		fmt.Fprintf(os.Stderr, "rfserved: remote store tier %s\n", u)
+	for _, ti := range store.RemoteTiers(*storeRem, ropts) {
+		remoteTiers = append(remoteTiers, ti)
+		fmt.Fprintf(os.Stderr, "rfserved: remote store tier %s\n", ti.ID)
 	}
-	var tiers *store.Tiers
-	switch {
-	case len(remoteTiers) > 0:
-		tiers = store.NewTiers(store.TierConfig{
-			Local: st, Remotes: remoteTiers, Shards: *storeShard,
-		})
-		// A small in-memory front keeps hot keys off the fetch path.
-		cfg.Cache = sweep.Tiered(sweep.NewMemCache(), tiers)
-		cfg.TierStats = tiers.Stats
-	case st != nil:
-		// A small in-memory front keeps hot keys off the disk path.
-		cfg.Cache = sweep.Tiered(sweep.NewMemCache(), st)
-	}
+	tiers := store.NewTiers(store.TierConfig{
+		Local: st, Remotes: remoteTiers, Shards: *storeShard,
+	})
+	cfg.Cache = tiers
 
 	if *warehouseD != "" {
 		wh, err := warehouse.Open(*warehouseD, warehouse.Options{Logf: logf})
@@ -365,9 +347,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rfserved: http shutdown: %v\n", err)
 	}
 	// Tier replication drains before the local store flushes its index.
-	if tiers != nil {
-		tiers.Close()
-	}
+	tiers.Close()
 	if st != nil {
 		if err := st.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "rfserved: store close: %v\n", err)

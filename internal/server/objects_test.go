@@ -128,7 +128,7 @@ func TestRemoteTierWarmResubmit(t *testing.T) {
 	}
 	defer stA.Close()
 	_, tsA := newTestServer(t, Config{
-		Cache:   sweep.Tiered(sweep.NewMemCache(), stA),
+		Cache:   store.NewTiers(store.TierConfig{Local: stA}),
 		Objects: stA.Backend(),
 	})
 
@@ -146,18 +146,13 @@ func TestRemoteTierWarmResubmit(t *testing.T) {
 	}
 	defer stB.Close()
 	tiers := store.NewTiers(store.TierConfig{
-		Local: stB,
-		Remotes: []store.Tier{{
-			Name: "remote", ID: tsA.URL,
-			Backend:      store.NewRemote(tsA.URL, store.RemoteOptions{}),
-			WriteThrough: true,
-		}},
+		Local:   stB,
+		Remotes: store.RemoteTiers(tsA.URL, store.RemoteOptions{}),
 	})
 	defer tiers.Close()
 	var simulated atomic.Int64
 	_, tsB := newTestServer(t, Config{
-		Cache:     sweep.Tiered(sweep.NewMemCache(), tiers),
-		TierStats: tiers.Stats,
+		Cache: tiers,
 		Simulate: func(j sweep.Job) sim.Result {
 			simulated.Add(1)
 			return fakeSim(j)
@@ -213,5 +208,79 @@ func TestRemoteTierWarmResubmit(t *testing.T) {
 	}
 	if n := simulated.Load(); n != 0 {
 		t.Fatalf("server B simulated %d jobs after promotion, want 0", n)
+	}
+}
+
+// TestTierHitsCountOnce: with the whole result cache one store.NewTiers
+// stack (memory → local → remote), /metrics counts every lookup exactly
+// once — the per-tier hits sum to the runner's cache hits, and a miss on
+// every tier is one runner miss. The three submits reach three tiers: a
+// cold run (misses), a warm resubmit (memory), and a sweep first run on
+// the remote node (remote).
+func TestTierHitsCountOnce(t *testing.T) {
+	stB, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stB.Close()
+	_, tsB := newTestServer(t, Config{
+		Cache:   store.NewTiers(store.TierConfig{Local: stB}),
+		Objects: stB.Backend(),
+	})
+
+	stA, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stA.Close()
+	tiers := store.NewTiers(store.TierConfig{
+		Local:   stA,
+		Remotes: store.RemoteTiers(tsB.URL, store.RemoteOptions{}),
+	})
+	defer tiers.Close()
+	_, tsA := newTestServer(t, Config{Cache: tiers})
+
+	otherSpec := strings.Replace(testSpec, `"instructions": 3000`, `"instructions": 4000`, 1)
+	run := func(base, spec string) {
+		ack := submit(t, base, spec)
+		streamAll(t, base, ack.ResultsURL)
+	}
+	run(tsA.URL, testSpec)  // cold: every tier misses
+	run(tsA.URL, testSpec)  // warm: memory hits
+	run(tsB.URL, otherSpec) // populate the remote node
+	run(tsA.URL, otherSpec) // cross-node: remote hits
+
+	metrics := getMetrics(t, tsA.URL)
+	value := func(name string) uint64 {
+		t.Helper()
+		for _, line := range strings.Split(metrics, "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				var n uint64
+				if _, err := fmt.Sscan(v, &n); err != nil {
+					t.Fatalf("metric %s: %v", name, err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("/metrics has no %s", name)
+		return 0
+	}
+	perTier := map[string]uint64{}
+	var tierHits uint64
+	for _, tier := range []string{"memory", "local", "remote"} {
+		if strings.Contains(metrics, `rfserved_store_tier_hits{tier="`+tier+`"}`) {
+			perTier[tier] = value(`rfserved_store_tier_hits{tier="` + tier + `"}`)
+			tierHits += perTier[tier]
+		}
+	}
+	hits, misses := value("rfserved_cache_hits_total"), value("rfserved_cache_misses_total")
+	if tierHits != hits {
+		t.Errorf("tier hits %v sum to %d, runner counted %d cache hits", perTier, tierHits, hits)
+	}
+	if tm := value("rfserved_store_tier_misses"); tm != misses {
+		t.Errorf("tier misses = %d, runner counted %d cache misses", tm, misses)
+	}
+	if perTier["memory"] != 6 || perTier["remote"] != 6 || misses != 6 {
+		t.Errorf("tier hits %v, misses %d; want memory:6 remote:6 and 6 misses", perTier, misses)
 	}
 }

@@ -61,9 +61,11 @@ import (
 // Config configures a Server. The zero value is usable: GOMAXPROCS
 // global workers, an in-memory cache, real simulations.
 type Config struct {
-	// Cache backs the shared runner: an in-memory MemCache, the disk
-	// store in internal/store, or a Tiered combination. Nil uses a fresh
-	// MemCache (results die with the process).
+	// Cache backs the shared runner, usually a store.NewTiers stack
+	// (memory, local disk, remote and peer tiers); its per-tier counters
+	// are exported on /metrics (rfserved_store_tier_*) when it has a
+	// Stats() store.TierStats method. Nil uses a fresh MemCache (results
+	// die with the process).
 	Cache sweep.Cache
 	// Simulate overrides the simulation function (tests); nil runs the
 	// real simulator.
@@ -95,9 +97,6 @@ type Config struct {
 	// local disk store's Backend(). Requests are tenant-authenticated
 	// and rate-limited exactly like submissions.
 	Objects store.Backend
-	// TierStats, when non-nil, reports the tiered store's read-through
-	// counters on /metrics (rfserved_store_*). Usually Tiers.Stats.
-	TierStats func() store.TierStats
 	// Tenants, when non-nil, turns on multi-tenant admission control:
 	// API-key authentication, per-tenant rate limits and quotas, and
 	// fair-share scheduling. Nil serves every caller as the unlimited
@@ -1054,15 +1053,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		m("rfserved_dispatch_tasks_adopted_total", ds.Adopted, "in-flight leases re-adopted after a coordinator restart")
 	}
 
-	// Local store occupancy plus tiered read-through activity; absent on
-	// servers without a store / tiered cache, keeping their exposition
+	// Local store occupancy plus tier-stack read-through activity; absent
+	// on servers without a store / tier stack, keeping their exposition
 	// bytes unchanged.
 	if s.cfg.Objects != nil {
 		m("rfserved_store_objects", s.cfg.Objects.Len(), "objects resident in the local store tier")
 		m("rfserved_store_bytes", s.cfg.Objects.SizeBytes(), "bytes resident in the local store tier")
 	}
-	if s.cfg.TierStats != nil {
-		ts := s.cfg.TierStats()
+	if tc, ok := s.cfg.Cache.(interface{ Stats() store.TierStats }); ok {
+		ts := tc.Stats()
 		tiers := make([]string, 0, len(ts.Hits))
 		for name := range ts.Hits {
 			tiers = append(tiers, name)

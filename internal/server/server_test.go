@@ -201,7 +201,7 @@ func TestStoreSurvivesServerRestart(t *testing.T) {
 		}
 		srv := New(Config{
 			Simulate: counted,
-			Cache:    sweep.Tiered(sweep.NewMemCache(), st),
+			Cache:    store.NewTiers(store.TierConfig{Local: st}),
 		})
 		return st, srv, httptest.NewServer(srv)
 	}

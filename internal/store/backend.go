@@ -9,7 +9,7 @@ import (
 
 // Backend is one tier of the multi-backend result store: the local disk
 // Store, a remote rfserved object API, or the worker fleet's advertised
-// inventory. Get/Put/Has carry a Context because remote tiers are
+// inventory. Get and Put carry a Context because remote tiers are
 // network calls that the hedged read-through must be able to cancel
 // when a rival tier answers first.
 //
@@ -19,7 +19,6 @@ import (
 type Backend interface {
 	Get(ctx context.Context, k sweep.Key) (sim.Result, bool, error)
 	Put(ctx context.Context, k sweep.Key, res sim.Result) error
-	Has(ctx context.Context, k sweep.Key) (bool, error)
 	// Len and SizeBytes are advisory occupancy figures; tiers that
 	// cannot know them (remote, peer) report 0.
 	Len() int
@@ -44,10 +43,6 @@ func (l localBackend) Get(_ context.Context, k sweep.Key) (sim.Result, bool, err
 func (l localBackend) Put(_ context.Context, k sweep.Key, res sim.Result) error {
 	l.s.Put(k, res)
 	return nil
-}
-
-func (l localBackend) Has(_ context.Context, k sweep.Key) (bool, error) {
-	return l.s.Has(k), nil
 }
 
 func (l localBackend) Len() int         { return l.s.Len() }

@@ -1,6 +1,10 @@
 package store
 
-import "repro/internal/sweep"
+import (
+	"time"
+
+	"repro/internal/sweep"
+)
 
 // SetRenameHook replaces the rename step that commits a temp file into
 // place, letting crash-consistency tests simulate a writer killed
@@ -18,4 +22,11 @@ func (s *Store) SetRenameHook(f func(oldpath, newpath string) error) {
 // Must be set before the store is shared between goroutines. Tests only.
 func (s *Store) SetReadHook(f func(k sweep.Key)) {
 	s.readHook = f
+}
+
+// SetHedgeAfter overrides how long a primary fetch may stay silent
+// before the next backend is fired too (hedgeDelay in production).
+// Must be set before the first Get. Tests only.
+func (t *Tiers) SetHedgeAfter(d time.Duration) {
+	t.hedgeAfter = d
 }

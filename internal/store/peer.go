@@ -73,24 +73,6 @@ func (p *Peer) Get(ctx context.Context, k sweep.Key) (sim.Result, bool, error) {
 // promotion happens on the reading node's local tier.
 func (p *Peer) Put(context.Context, sweep.Key, sim.Result) error { return nil }
 
-// Has probes the advertising peers.
-func (p *Peer) Has(ctx context.Context, k sweep.Key) (bool, error) {
-	var firstErr error
-	for _, url := range p.src.Peers(k) {
-		ok, err := p.remote(url).Has(ctx, k)
-		if ok {
-			return true, nil
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	return false, firstErr
-}
-
 // Len and SizeBytes are unknown for the fleet tier.
 func (p *Peer) Len() int         { return 0 }
 func (p *Peer) SizeBytes() int64 { return 0 }

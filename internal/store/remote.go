@@ -53,6 +53,23 @@ func NewRemote(base string, opts RemoteOptions) *Remote {
 	}
 }
 
+// RemoteTiers parses a comma-separated list of rfserved base URLs (the
+// commands' -store-remote flag) into write-through remote tiers, in
+// list order. Blank entries are skipped.
+func RemoteTiers(urls string, opts RemoteOptions) []Tier {
+	var tiers []Tier
+	for _, u := range strings.Split(urls, ",") {
+		if u = strings.TrimSpace(u); u != "" {
+			tiers = append(tiers, Tier{
+				Name: "remote", ID: u,
+				Backend:      NewRemote(u, opts),
+				WriteThrough: true,
+			})
+		}
+	}
+	return tiers
+}
+
 // URL returns the remote's base URL.
 func (r *Remote) URL() string { return r.base }
 
@@ -127,28 +144,6 @@ func (r *Remote) Put(ctx context.Context, k sweep.Key, res sim.Result) error {
 		return fmt.Errorf("store remote: PUT %s: %s", k[:8], resp.Status)
 	}
 	return nil
-}
-
-// Has probes for an object without transferring it (HEAD).
-func (r *Remote) Has(ctx context.Context, k sweep.Key) (bool, error) {
-	req, err := r.newRequest(ctx, http.MethodHead, r.objectURL(k), nil)
-	if err != nil {
-		return false, err
-	}
-	resp, err := r.hc.Do(req)
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, maxObjectBody))
-	switch {
-	case resp.StatusCode/100 == 2:
-		return true, nil
-	case resp.StatusCode == http.StatusNotFound:
-		return false, nil
-	default:
-		return false, fmt.Errorf("store remote: HEAD %s: %s", k[:8], resp.Status)
-	}
 }
 
 // Len and SizeBytes are unknown for a remote tier.

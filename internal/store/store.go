@@ -19,8 +19,9 @@
 //
 // The store is size-capped: when the object bytes exceed Options.MaxBytes
 // the least-recently-used entries are evicted. A Store satisfies
-// sweep.Cache, so it plugs directly into sweep.Runner, usually behind a
-// sweep.Tiered front of in-memory MemCache.
+// sweep.Cache, but the runner sees it as the local tier of the one
+// result-cache stack, NewTiers: an in-memory tier in front, then the
+// Store, then any remote or fleet-peer backends (tier.go).
 package store
 
 import (
@@ -341,15 +342,6 @@ func (s *Store) Get(k sweep.Key) (sim.Result, bool) {
 	// is valid even if the entry was evicted while we read it.
 	s.stats.Hits++
 	return res, true
-}
-
-// Has reports whether a key is resident, without touching LRU order,
-// stats, or the disk.
-func (s *Store) Has(k sweep.Key) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.entries[k]
-	return ok
 }
 
 // Put stores a result under its key, atomically (write to a temporary

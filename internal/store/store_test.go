@@ -301,7 +301,7 @@ func TestRunnerResumesFromStore(t *testing.T) {
 		st := mustOpen(t, dir, Options{})
 		defer st.Close()
 		r := sweep.NewRunner(sweep.RunnerConfig{
-			Cache: sweep.Tiered(sweep.NewMemCache(), st),
+			Cache: NewTiers(TierConfig{Local: st}),
 			Simulate: func(j sweep.Job) sim.Result {
 				sims.Add(1)
 				return sim.Result{Cycles: j.Seed * 10}

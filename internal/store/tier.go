@@ -4,18 +4,19 @@ import (
 	"context"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
 
-// Default hedging policy: a second backend is tried once the first has
-// been silent this long, and a whole read-through gives up after the
-// budget (falling back to simulation, never failing the sweep).
+// Hedging policy: a second backend is tried once the first has been
+// silent for hedgeDelay, and a whole read-through gives up after
+// fetchBudget (falling back to simulation, never failing the sweep).
 const (
-	DefaultHedgeAfter  = 50 * time.Millisecond
-	DefaultFetchBudget = 5 * time.Second
+	hedgeDelay  = 50 * time.Millisecond
+	fetchBudget = 5 * time.Second
 )
 
 // Tier is one named remote backend inside a Tiers stack.
@@ -33,7 +34,8 @@ type Tier struct {
 	WriteThrough bool
 }
 
-// TierConfig assembles a multi-backend store.
+// TierConfig assembles a result-cache stack. Every stack starts with an
+// in-memory tier; the zero value is a memory-only cache.
 type TierConfig struct {
 	// Local is the authoritative on-node tier; nil means none (a pure
 	// read-through front, e.g. a fresh coordinator reading the fleet).
@@ -41,12 +43,6 @@ type TierConfig struct {
 	// Remotes are consulted on a local miss. The first (after shard
 	// ranking, if configured) is the primary; the rest are hedges.
 	Remotes []Tier
-	// HedgeAfter is how long the primary fetch may stay silent before
-	// the next backend is fired too; 0 means DefaultHedgeAfter.
-	HedgeAfter time.Duration
-	// FetchBudget bounds one whole read-through across all hedges;
-	// 0 means DefaultFetchBudget.
-	FetchBudget time.Duration
 	// Shards, when > 0 with several remotes, rendezvous-ranks the
 	// remotes per key so each key has a consistent primary.
 	Shards int
@@ -54,7 +50,8 @@ type TierConfig struct {
 
 // TierStats is a point-in-time snapshot of read-through activity.
 type TierStats struct {
-	// Hits counts cache hits per tier name (including "local").
+	// Hits counts cache hits per tier name ("memory", "local", then the
+	// remote tiers' names); each lookup counts at most once.
 	Hits map[string]uint64 `json:"hits"`
 	// Misses counts read-throughs that exhausted every tier and fell
 	// back to simulation.
@@ -71,29 +68,41 @@ type TierStats struct {
 	// Promotions counts remote hits copied into the local tier.
 	Promotions uint64 `json:"promotions"`
 	// WriteBehindDrops counts replications skipped because the
-	// write-behind queue was full.
+	// write-behind queue was full or the stack was closed.
 	WriteBehindDrops uint64 `json:"write_behind_drops"`
 }
 
-// Tiers is a hedged read-through over a local Store and remote
-// backends. It satisfies sweep.Cache: Get walks local → remotes
-// (hedged) and promotes remote hits into the local tier; Put writes
-// locally and replicates to write-through remotes asynchronously.
-// Close drains the replication queue.
+// Tiers is the result cache: a memory tier over an optional local
+// Store over hedged remote backends. It satisfies sweep.Cache: Get
+// walks memory → local → remotes (hedged), promoting lower-tier hits
+// into memory and remote hits into the local tier too; Put writes
+// memory and local and replicates to write-through remotes
+// asynchronously. Close drains the replication queue.
 type Tiers struct {
+	mem        *sweep.MemCache
 	local      *Store
 	remotes    []Tier
-	hedgeAfter time.Duration
-	budget     time.Duration
 	shards     int
+	hedgeAfter time.Duration
 
-	mu    sync.Mutex
-	stats TierStats
+	// hits is indexed by tier position: tierMemory, tierLocal, then
+	// tierRemote+i for remote i.
+	hits []atomic.Uint64
 
-	wb        chan wbItem
-	wbDone    chan struct{}
-	closeOnce sync.Once
+	misses, hedged, hedgeWins, remoteErrors, promotions, drops atomic.Uint64
+
+	wbMu     sync.Mutex // orders write-behind sends before Close
+	wbClosed bool
+	wb       chan wbItem
+	wbDone   chan struct{}
 }
+
+// Tier positions in Tiers.hits.
+const (
+	tierMemory = iota
+	tierLocal
+	tierRemote
+)
 
 type wbItem struct {
 	k   sweep.Key
@@ -104,22 +113,16 @@ type wbItem struct {
 // dropped (and counted) rather than stalling the sweep hot path.
 const writeBehindDepth = 256
 
-// NewTiers assembles a tiered store from cfg.
+// NewTiers assembles a result-cache stack from cfg.
 func NewTiers(cfg TierConfig) *Tiers {
 	t := &Tiers{
+		mem:        sweep.NewMemCache(),
 		local:      cfg.Local,
 		remotes:    cfg.Remotes,
-		hedgeAfter: cfg.HedgeAfter,
-		budget:     cfg.FetchBudget,
 		shards:     cfg.Shards,
+		hedgeAfter: hedgeDelay,
+		hits:       make([]atomic.Uint64, tierRemote+len(cfg.Remotes)),
 	}
-	if t.hedgeAfter <= 0 {
-		t.hedgeAfter = DefaultHedgeAfter
-	}
-	if t.budget <= 0 {
-		t.budget = DefaultFetchBudget
-	}
-	t.stats.Hits = make(map[string]uint64)
 	for _, ti := range cfg.Remotes {
 		if ti.WriteThrough {
 			t.wb = make(chan wbItem, writeBehindDepth)
@@ -131,34 +134,33 @@ func NewTiers(cfg TierConfig) *Tiers {
 	return t
 }
 
-// Local returns the local tier, or nil.
-func (t *Tiers) Local() *Store { return t.local }
-
 // Get implements sweep.Cache over the tier stack.
 func (t *Tiers) Get(k sweep.Key) (sim.Result, bool) {
+	if res, ok := t.mem.Get(k); ok {
+		t.hits[tierMemory].Add(1)
+		return res, true
+	}
 	if t.local != nil {
 		if res, ok := t.local.Get(k); ok {
-			t.count(func(s *TierStats) { s.Hits["local"]++ })
+			t.hits[tierLocal].Add(1)
+			t.mem.Put(k, res)
 			return res, true
 		}
 	}
-	if len(t.remotes) == 0 {
-		t.count(func(s *TierStats) { s.Misses++ })
-		return sim.Result{}, false
+	if len(t.remotes) > 0 {
+		if res, i, ok := t.fetch(k); ok {
+			t.hits[tierRemote+i].Add(1)
+			t.mem.Put(k, res)
+			if t.local != nil {
+				// Promote: the next process over this store hits locally.
+				t.local.Put(k, res)
+				t.promotions.Add(1)
+			}
+			return res, true
+		}
 	}
-	res, idx, ok := t.fetch(k)
-	if !ok {
-		t.count(func(s *TierStats) { s.Misses++ })
-		return sim.Result{}, false
-	}
-	name := t.remotes[idx].Name
-	t.count(func(s *TierStats) { s.Hits[name]++ })
-	if t.local != nil {
-		// Promote: the next read of this key is a local hit.
-		t.local.Put(k, res)
-		t.count(func(s *TierStats) { s.Promotions++ })
-	}
-	return res, true
+	t.misses.Add(1)
+	return sim.Result{}, false
 }
 
 // fetchReply is one backend's answer inside a hedged fetch.
@@ -178,7 +180,7 @@ type fetchReply struct {
 // canceled losers never leak a goroutine.
 func (t *Tiers) fetch(k sweep.Key) (sim.Result, int, bool) {
 	order := t.order(k)
-	ctx, cancel := context.WithTimeout(context.Background(), t.budget)
+	ctx, cancel := context.WithTimeout(context.Background(), fetchBudget)
 	defer cancel()
 	ch := make(chan fetchReply, len(order))
 	launched := 0
@@ -186,7 +188,7 @@ func (t *Tiers) fetch(k sweep.Key) (sim.Result, int, bool) {
 		i := order[launched]
 		launched++
 		if hedged {
-			t.count(func(s *TierStats) { s.HedgedFetches++ })
+			t.hedged.Add(1)
 		}
 		go func() {
 			res, ok, err := t.remotes[i].Backend.Get(ctx, k)
@@ -201,11 +203,11 @@ func (t *Tiers) fetch(k sweep.Key) (sim.Result, int, bool) {
 		case r := <-ch:
 			replies++
 			if r.err != nil {
-				t.count(func(s *TierStats) { s.RemoteErrors++ })
+				t.remoteErrors.Add(1)
 			}
 			if r.ok {
 				if r.hedged {
-					t.count(func(s *TierStats) { s.HedgeWins++ })
+					t.hedgeWins.Add(1)
 				}
 				return r.res, r.idx, true
 			}
@@ -257,20 +259,27 @@ func (ti Tier) identity(pos int) string {
 	return ti.Name + "#" + strconv.Itoa(pos)
 }
 
-// Put implements sweep.Cache: durable local write, asynchronous
-// replication to write-through remotes.
+// Put implements sweep.Cache: memory and durable local writes, then
+// asynchronous replication to write-through remotes. After Close the
+// replication is dropped (and counted); the writes still land.
 func (t *Tiers) Put(k sweep.Key, res sim.Result) {
+	t.mem.Put(k, res)
 	if t.local != nil {
 		t.local.Put(k, res)
 	}
 	if t.wb == nil {
 		return
 	}
-	select {
-	case t.wb <- wbItem{k: k, res: res}:
-	default:
-		t.count(func(s *TierStats) { s.WriteBehindDrops++ })
+	t.wbMu.Lock()
+	defer t.wbMu.Unlock()
+	if !t.wbClosed {
+		select {
+		case t.wb <- wbItem{k: k, res: res}:
+			return
+		default:
+		}
 	}
+	t.drops.Add(1)
 }
 
 // writeBehind is the single replication worker: best-effort, bounded,
@@ -283,9 +292,9 @@ func (t *Tiers) writeBehind() {
 			if !ti.WriteThrough {
 				continue
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), t.budget)
+			ctx, cancel := context.WithTimeout(context.Background(), fetchBudget)
 			if err := ti.Backend.Put(ctx, it.k, it.res); err != nil {
-				t.count(func(s *TierStats) { s.RemoteErrors++ })
+				t.remoteErrors.Add(1)
 			}
 			cancel()
 		}
@@ -293,30 +302,45 @@ func (t *Tiers) writeBehind() {
 }
 
 // Close drains the write-behind queue. The local tier is owned by the
-// caller and closed separately.
+// caller and closed separately. Close is idempotent, and Puts after it
+// are safe.
 func (t *Tiers) Close() {
-	t.closeOnce.Do(func() {
-		if t.wb != nil {
-			close(t.wb)
-			<-t.wbDone
-		}
-	})
+	if t.wb == nil {
+		return
+	}
+	t.wbMu.Lock()
+	if !t.wbClosed {
+		t.wbClosed = true
+		close(t.wb)
+	}
+	t.wbMu.Unlock()
+	<-t.wbDone
 }
 
 // Stats returns a snapshot of read-through counters.
 func (t *Tiers) Stats() TierStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := t.stats
-	out.Hits = make(map[string]uint64, len(t.stats.Hits))
-	for name, n := range t.stats.Hits {
-		out.Hits[name] = n
+	s := TierStats{
+		Hits:             make(map[string]uint64),
+		Misses:           t.misses.Load(),
+		HedgedFetches:    t.hedged.Load(),
+		HedgeWins:        t.hedgeWins.Load(),
+		RemoteErrors:     t.remoteErrors.Load(),
+		Promotions:       t.promotions.Load(),
+		WriteBehindDrops: t.drops.Load(),
 	}
-	return out
-}
-
-func (t *Tiers) count(f func(*TierStats)) {
-	t.mu.Lock()
-	f(&t.stats)
-	t.mu.Unlock()
+	for i := range t.hits {
+		n := t.hits[i].Load()
+		if n == 0 {
+			continue
+		}
+		switch i {
+		case tierMemory:
+			s.Hits["memory"] += n
+		case tierLocal:
+			s.Hits["local"] += n
+		default:
+			s.Hits[t.remotes[i-tierRemote].Name] += n
+		}
+	}
+	return s
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -40,10 +41,7 @@ func (f *fakeBackend) Get(ctx context.Context, k sweep.Key) (sim.Result, bool, e
 }
 
 func (f *fakeBackend) Put(context.Context, sweep.Key, sim.Result) error { return nil }
-func (f *fakeBackend) Has(ctx context.Context, k sweep.Key) (bool, error) {
-	_, ok, err := f.Get(ctx, k)
-	return ok, err
-}
+
 func (f *fakeBackend) Len() int         { return 0 }
 func (f *fakeBackend) SizeBytes() int64 { return 0 }
 
@@ -58,8 +56,8 @@ func TestHedgeSecondaryWins(t *testing.T) {
 			{Name: "slow", Backend: slow},
 			{Name: "fast", Backend: fast},
 		},
-		HedgeAfter: 10 * time.Millisecond,
 	})
+	ti.SetHedgeAfter(10 * time.Millisecond)
 	defer ti.Close()
 
 	res, ok := ti.Get(key(0))
@@ -120,8 +118,8 @@ func TestRemoteMissFailsOverImmediately(t *testing.T) {
 			{Name: "empty", Backend: empty},
 			{Name: "holds", Backend: holds},
 		},
-		HedgeAfter: time.Hour, // immediate failover must not wait for this
 	})
+	ti.SetHedgeAfter(time.Hour) // immediate failover must not wait for this
 	defer ti.Close()
 
 	done := make(chan struct{})
@@ -141,27 +139,104 @@ func TestRemoteMissFailsOverImmediately(t *testing.T) {
 	}
 }
 
-// TestRemoteHitPromotesToLocal: a remote hit lands in the local store
-// so the next read never leaves the node.
+// TestRemoteHitPromotesToLocal: a remote hit lands in the memory tier
+// and the local store, so the next read never leaves the node — not in
+// this process (a memory hit), nor in a fresh stack over the same store
+// (a local hit).
 func TestRemoteHitPromotesToLocal(t *testing.T) {
 	local := mustOpen(t, t.TempDir(), Options{})
 	defer local.Close()
 	back := &fakeBackend{res: sim.Result{Cycles: 42}, ok: true}
-	ti := NewTiers(TierConfig{Local: local, Remotes: []Tier{{Name: "remote", Backend: back}}})
+	remotes := []Tier{{Name: "remote", Backend: back}}
+	ti := NewTiers(TierConfig{Local: local, Remotes: remotes})
 	defer ti.Close()
 
 	if res, ok := ti.Get(key(0)); !ok || res.Cycles != 42 {
 		t.Fatalf("Get = (%+v, %v), want remote hit", res, ok)
 	}
 	if res, ok := ti.Get(key(0)); !ok || res.Cycles != 42 {
-		t.Fatalf("second Get = (%+v, %v), want local hit", res, ok)
+		t.Fatalf("second Get = (%+v, %v), want memory hit", res, ok)
 	}
 	st := ti.Stats()
-	if st.Hits["remote"] != 1 || st.Hits["local"] != 1 || st.Promotions != 1 {
-		t.Fatalf("stats = %+v, want remote:1 local:1 promotions:1", st)
+	if st.Hits["remote"] != 1 || st.Hits["memory"] != 1 || st.Promotions != 1 {
+		t.Fatalf("stats = %+v, want remote:1 memory:1 promotions:1", st)
+	}
+
+	fresh := NewTiers(TierConfig{Local: local, Remotes: remotes})
+	defer fresh.Close()
+	if res, ok := fresh.Get(key(0)); !ok || res.Cycles != 42 {
+		t.Fatalf("fresh-stack Get = (%+v, %v), want local hit", res, ok)
+	}
+	if h := fresh.Stats().Hits; h["local"] != 1 || len(h) != 1 {
+		t.Fatalf("fresh-stack hits = %v, want local:1", h)
 	}
 	if got := back.gets.Load(); got != 1 {
-		t.Fatalf("backend saw %d Gets, want 1 (promotion must absorb the second)", got)
+		t.Fatalf("backend saw %d Gets, want 1 (promotion must absorb the rest)", got)
+	}
+}
+
+// TestLocalHitPromotesToMemory: a local-store hit is copied into the
+// memory tier, so a repeat read costs no disk I/O; each lookup counts
+// exactly one tier hit, and a miss everywhere counts one miss.
+func TestLocalHitPromotesToMemory(t *testing.T) {
+	local := mustOpen(t, t.TempDir(), Options{})
+	defer local.Close()
+	local.Put(key(0), sim.Result{Cycles: 8})
+	ti := NewTiers(TierConfig{Local: local})
+	defer ti.Close()
+
+	for i := 0; i < 3; i++ {
+		if res, ok := ti.Get(key(0)); !ok || res.Cycles != 8 {
+			t.Fatalf("Get #%d = (%+v, %v), want hit", i, res, ok)
+		}
+	}
+	if _, ok := ti.Get(key(1)); ok {
+		t.Fatal("Get of an absent key hit")
+	}
+	st := ti.Stats()
+	if st.Hits["local"] != 1 || st.Hits["memory"] != 2 || st.Misses != 1 {
+		t.Fatalf("stats = %+v, want local:1 memory:2 misses:1", st)
+	}
+	if got := local.Stats().Hits; got != 1 {
+		t.Fatalf("local store served %d reads, want 1", got)
+	}
+}
+
+// TestTiersPutAfterClose: a Put that arrives after (or races with)
+// Close — a fleet worker's job finishing during shutdown — must not
+// panic on the closed write-behind queue. Memory and local still take
+// the write; the replication is dropped and counted.
+func TestTiersPutAfterClose(t *testing.T) {
+	local := mustOpen(t, t.TempDir(), Options{})
+	defer local.Close()
+	ti := NewTiers(TierConfig{Local: local, Remotes: []Tier{{
+		Name: "remote", Backend: &fakeBackend{}, WriteThrough: true,
+	}}})
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				ti.Put(key(1+g*50+i), sim.Result{Cycles: 1})
+			}
+		}(g)
+	}
+	ti.Close()
+	wg.Wait()
+	drops := ti.Stats().WriteBehindDrops
+
+	ti.Put(key(0), sim.Result{Cycles: 3})
+	ti.Close() // idempotent
+	if res, ok := ti.Get(key(0)); !ok || res.Cycles != 3 {
+		t.Fatalf("Get after Close = (%+v, %v), want the memory copy", res, ok)
+	}
+	if _, ok := local.Get(key(0)); !ok {
+		t.Fatal("Put after Close did not reach the local tier")
+	}
+	if got := ti.Stats().WriteBehindDrops; got != drops+1 {
+		t.Fatalf("WriteBehindDrops = %d, want %d", got, drops+1)
 	}
 }
 
@@ -228,9 +303,6 @@ func TestRemoteRoundTrip(t *testing.T) {
 	res, ok, err := r.Get(ctx, key(0))
 	if err != nil || !ok || res.Cycles != 5 {
 		t.Fatalf("Get after Put = (%+v, %v, %v), want hit with Cycles=5", res, ok, err)
-	}
-	if ok, err := r.Has(ctx, key(0)); !ok || err != nil {
-		t.Fatalf("Has = (%v, %v), want (true, nil)", ok, err)
 	}
 }
 
@@ -321,4 +393,50 @@ func TestTierOrderSharded(t *testing.T) {
 	if len(primaries) < 2 {
 		t.Fatalf("64 keys all routed to one primary; rendezvous not spreading")
 	}
+}
+
+// BenchmarkTiersGet measures one Get through the result-cache stack at
+// each tier: a memory hit (the warm path of every sweep), a local-disk
+// hit, and a remote hit over the object API on httptest. The disk and
+// remote cases empty the memory tier before each Get, so every lookup
+// misses memory, reads the lower tier and promotes into memory.
+func BenchmarkTiersGet(b *testing.B) {
+	want := sim.Result{Cycles: 7, Instructions: 1000}
+	get := func(b *testing.B, ti *Tiers, reset bool) {
+		k := key(0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if reset {
+				ti.mem.Reset()
+			}
+			if res, ok := ti.Get(k); !ok || res.Cycles != want.Cycles {
+				b.Fatalf("Get = (%+v, %v), want a hit", res, ok)
+			}
+		}
+	}
+	b.Run("memory", func(b *testing.B) {
+		ti := NewTiers(TierConfig{})
+		ti.Put(key(0), want)
+		get(b, ti, false)
+	})
+	b.Run("local", func(b *testing.B) {
+		local, err := Open(b.TempDir(), Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer local.Close()
+		local.Put(key(0), want)
+		get(b, NewTiers(TierConfig{Local: local}), true)
+	})
+	b.Run("remote", func(b *testing.B) {
+		body, _ := json.Marshal(api.Object{Key: string(key(0)), Result: want})
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Write(body)
+		}))
+		defer srv.Close()
+		ti := NewTiers(TierConfig{Remotes: RemoteTiers(srv.URL, RemoteOptions{})})
+		defer ti.Close()
+		get(b, ti, true)
+	})
 }

@@ -13,8 +13,9 @@ import (
 // results are deterministic per key, so concurrent Puts of one key always
 // carry identical values.
 //
-// The in-memory MemCache, the disk-backed store in internal/store, and
-// the two-level Tiered combination all satisfy it.
+// The in-memory MemCache satisfies it, and so does the one result-cache
+// stack, store.NewTiers in internal/store: a MemCache tier over the disk
+// store over remote and fleet-peer tiers.
 type Cache interface {
 	// Get returns the cached result for a key, if present.
 	Get(Key) (sim.Result, bool)
@@ -72,6 +73,10 @@ type tiered struct {
 // Tiered combines two caches. Get tries front then back, promoting back
 // hits into the front; Put writes through to both. Either level may be
 // nil, in which case the other is returned as-is.
+//
+// Deprecated: build the cache with store.NewTiers, whose memory tier is
+// this front. Tiered remains only because its sole caller is the frozen
+// bench/ module.
 func Tiered(front, back Cache) Cache {
 	if front == nil {
 		return back

@@ -61,9 +61,9 @@ type RunnerConfig struct {
 	// Deprecated: set Simulate. It remains only for the frozen benchmark
 	// module under bench/, its sole caller.
 	SimulateBatch func([]Job) []sim.Result
-	// Cache supplies the result cache: an in-memory MemCache, the
-	// disk-backed store in internal/store, or a Tiered combination. Nil
-	// uses a fresh MemCache.
+	// Cache supplies the result cache: usually a store.NewTiers stack
+	// (memory, local disk, remote tiers), or a bare MemCache. Nil uses a
+	// fresh MemCache.
 	Cache Cache
 	// DisableCache turns the result cache off; every job simulates.
 	DisableCache bool

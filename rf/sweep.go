@@ -51,13 +51,6 @@ func ParseSpec(r io.Reader) (*Spec, error) { return sweep.ParseSpec(r) }
 // NewRunner returns a Runner with the given configuration.
 func NewRunner(cfg RunnerConfig) *Runner { return sweep.NewRunner(cfg) }
 
-// NewMemCache returns an unbounded in-memory result cache.
-func NewMemCache() Cache { return sweep.NewMemCache() }
-
-// Tiered combines a fast front cache with a durable back cache
-// (write-through, promote-on-hit).
-func Tiered(front, back Cache) Cache { return sweep.Tiered(front, back) }
-
 // NewReport flattens parallel job/outcome slices into a report.
 func NewReport(name string, jobs []Job, outs []Outcome, stats CacheStats) *Report {
 	return sweep.NewReport(name, jobs, outs, stats)
