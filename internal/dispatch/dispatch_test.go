@@ -205,6 +205,42 @@ func singleNodeNDJSON(t *testing.T, spec string, simulate func(sweep.Job) sim.Re
 	return buf.String()
 }
 
+// requireReleased fails unless the coordinator's per-task maps are empty:
+// once every sweep has streamed to the end, no task, key or lease may
+// outlive it.
+func requireReleased(t *testing.T, c *dispatch.Coordinator) {
+	t.Helper()
+	if tasks, byKey, inflight := c.LiveEntries(); tasks+byKey+inflight != 0 {
+		t.Errorf("after every sweep finished: %d tasks, %d keys, %d leases left, want none", tasks, byKey, inflight)
+	}
+}
+
+// TestCoordinatorMapsReleaseAfterChurn runs many distinct sweeps, some
+// submitted twice at once so duplicates share a task, through two
+// workers: the coordinator's maps must return to empty.
+func TestCoordinatorMapsReleaseAfterChurn(t *testing.T) {
+	f := newFleet(t, dispatch.Config{})
+	f.startWorker("a", 3, fakeSim)
+	f.startWorker("b", 2, fakeSim)
+	var acks []submitResponse
+	for n := 0; n < 12; n++ {
+		spec := strings.Replace(testSpec, `"instructions": 3000`, fmt.Sprintf(`"instructions": %d`, 3000+n), 1)
+		acks = append(acks, f.submit(spec))
+		if n%3 == 0 {
+			acks = append(acks, f.submit(spec))
+		}
+	}
+	for _, ack := range acks {
+		if got := strings.Count(f.streamAll(ack.ResultsURL), "\n"); got != 6 {
+			t.Errorf("sweep %s streamed %d rows, want 6", ack.ID, got)
+		}
+	}
+	if st := f.coord.Stats(); st.Completed != 12*6 {
+		t.Errorf("coordinator completed %d tasks, want %d: %+v", st.Completed, 12*6, st)
+	}
+	requireReleased(t, f.coord)
+}
+
 // TestFleetStreamMatchesSingleNode is the distributed acceptance
 // contract: a sweep executed by remote workers streams byte-identical
 // NDJSON to a single-node run, and resubmitting it costs zero
@@ -291,6 +327,7 @@ func TestCoordinatorWorkerFailover(t *testing.T) {
 	if st.Expired == 0 {
 		t.Errorf("killed worker was never expired: %+v", st)
 	}
+	requireReleased(t, f.coord)
 }
 
 // TestJobTimeoutRequeuesWedgedWorker pins the -job-timeout defense: a
@@ -382,6 +419,7 @@ func TestRetryCapFallsBackLocally(t *testing.T) {
 	if st := f.coord.Stats(); st.Fallbacks == 0 {
 		t.Errorf("sweep completed without local fallbacks: %+v", st)
 	}
+	requireReleased(t, f.coord)
 }
 
 // TestNoWorkersFallsBackLocally pins the empty-fleet liveness guarantee:

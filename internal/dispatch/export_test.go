@@ -73,3 +73,15 @@ func (c *Coordinator) DebugSnapshot() DebugState {
 // CompactNow runs the janitor's compaction check synchronously. Tests
 // only.
 func (c *Coordinator) CompactNow() { c.maybeCompact() }
+
+// LiveEntries returns the sizes of the coordinator's per-task maps: live
+// tasks by id and by content address, and leases held summed over the
+// registered workers. Tests only.
+func (c *Coordinator) LiveEntries() (tasks, byKey, inflight int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, w := range c.workers {
+		inflight += len(w.inflight)
+	}
+	return len(c.tasks), len(c.byKey), inflight
+}

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"sync"
 
@@ -76,9 +77,64 @@ type RunnerConfig struct {
 type Runner struct {
 	cfg   RunnerConfig
 	cache Cache
+	keys  keyMemo
 
 	mu    sync.Mutex
 	stats CacheStats
+}
+
+// keyMemoCap bounds a Runner's key memo. An entry is one canonical job
+// value (656 B) plus its 64-byte key, so a full memo stays under 1 MB
+// while holding several 108-job Figure 6 grids.
+const keyMemoCap = 1024
+
+// keyMemo maps canonical job values to their content addresses, so a
+// batch that repeats jobs this Runner keyed before skips the JSON
+// encoding and SHA-256 of Job.Key. When full, it starts over empty.
+type keyMemo struct {
+	mu sync.Mutex
+	m  map[keyable]Key
+}
+
+// key returns j.Key(), from the memo when an equal job was keyed before.
+// The lock covers only map access; a miss is hashed outside it.
+func (m *keyMemo) key(j Job) Key {
+	c := j.canonical()
+	if !memoizable(&c) {
+		return j.Key()
+	}
+	m.mu.Lock()
+	k, ok := m.m[c]
+	m.mu.Unlock()
+	if ok {
+		return k
+	}
+	k = j.Key()
+	m.mu.Lock()
+	if m.m == nil || len(m.m) >= keyMemoCap {
+		m.m = make(map[keyable]Key)
+	}
+	m.m[c] = k
+	m.mu.Unlock()
+	return k
+}
+
+// memoizable reports whether map equality on c agrees with equality of
+// its JSON encoding. Go's == holds between +0 and -0, which JSON writes
+// differently, and never holds for NaN; a value holding either is keyed
+// directly, so its key cannot depend on which equal job came first.
+// The workload profile carries the key's only floats.
+func memoizable(c *keyable) bool {
+	p := &c.Profile
+	for _, f := range [...]float64{
+		p.WIntALU, p.WIntMul, p.WIntDiv, p.WFPALU, p.WFPDiv, p.WLoad, p.WStore,
+		p.FracRandomBranch, p.RandomBias, p.DepDistP, p.FracStream,
+	} {
+		if math.IsNaN(f) || (f == 0 && math.Signbit(f)) {
+			return false
+		}
+	}
+	return true
 }
 
 // NewRunner returns a Runner with the given configuration.
@@ -160,7 +216,7 @@ func (r *Runner) RunOutcomesContext(ctx context.Context, jobs []Job, parallelism
 
 	var scanned CacheStats
 	for i := range jobs {
-		k := jobs[i].Key()
+		k := r.keys.key(jobs[i])
 		outs[i].Key = k
 		if !r.cfg.DisableCache {
 			if res, ok := r.cache.Get(k); ok {
@@ -194,26 +250,23 @@ func (r *Runner) RunOutcomesContext(ctx context.Context, jobs []Job, parallelism
 		}
 	}
 
-	// Each unique job occupies one parallelism slot; a canceled batch
-	// skips jobs that have not started.
+	// Each unique job takes one parallelism slot before its goroutine
+	// starts, so a batch never holds more than parallelism goroutines; a
+	// canceled batch skips jobs that have not started.
 	sem := make(chan struct{}, parallelism)
 	var wg sync.WaitGroup
 	for _, i := range unique {
+		select {
+		case sem <- struct{}{}:
+		case <-ctx.Done():
+		}
 		if ctx.Err() != nil {
 			break
 		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				return
-			}
 			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				return
-			}
 			var res sim.Result
 			if r.cfg.SimulateContext != nil {
 				res = r.cfg.SimulateContext(ctx, jobs[i])

@@ -53,13 +53,19 @@ type keyable struct {
 	Seed    uint64
 }
 
+// canonical returns the value Key serializes: the job with the register
+// file spec's display name cleared.
+func (j Job) canonical() keyable {
+	k := keyable{Profile: j.Profile, Config: j.Config, Seed: j.Seed}
+	k.Config.RF.Name = ""
+	return k
+}
+
 // Key returns the job's content address: a SHA-256 over the canonical
 // JSON encoding of the profile, configuration and seed override, with the
 // register file spec's display name cleared.
 func (j Job) Key() Key {
-	k := keyable{Profile: j.Profile, Config: j.Config, Seed: j.Seed}
-	k.Config.RF.Name = ""
-	b, err := json.Marshal(k)
+	b, err := json.Marshal(j.canonical())
 	if err != nil {
 		// Profile and Config are plain exported data; Marshal cannot fail
 		// on them unless a future field breaks that invariant.

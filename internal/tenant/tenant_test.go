@@ -3,7 +3,9 @@ package tenant
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -292,4 +294,84 @@ func TestAdmissionContext(t *testing.T) {
 	if !ok || a.Tenant != "t" || a.Priority != 3 {
 		t.Fatalf("FromContext = %+v, %v", a, ok)
 	}
+}
+
+// TestMapsReleaseAfterChurn drives each per-tenant map through many
+// distinct tenant ids, the way a server with tenant churn would: once
+// the traffic is done, no map may keep an entry for a tenant that holds
+// nothing.
+func TestMapsReleaseAfterChurn(t *testing.T) {
+	const ids = 10 * pruneEvery
+	name := func(i int) string { return fmt.Sprintf("tenant-%d", i) }
+
+	t.Run("Reserver.counts", func(t *testing.T) {
+		r := NewReserver()
+		for i := 0; i < ids; i++ {
+			if err := r.Acquire(name(i), 2, 3); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Acquire(name(i), 2, 3); !errors.Is(err, ErrOverLimit) {
+				t.Fatalf("over-limit Acquire: err %v", err)
+			}
+			if err := r.Release(name(i), 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Release(name(i), 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Release(name(i), 1); !errors.Is(err, ErrNoReservation) {
+				t.Fatalf("fictitious Release: err %v", err)
+			}
+		}
+		if n := len(r.counts); n != 0 {
+			t.Errorf("counts holds %d tenants after every reservation was returned", n)
+		}
+	})
+
+	t.Run("FairQueue.held", func(t *testing.T) {
+		q := NewFairQueue(2)
+		var wg sync.WaitGroup
+		for i := 0; i < ids; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				if i%4 == 0 {
+					cancel() // gives up while queued, or races the grant
+				}
+				if q.Acquire(ctx, name(i), i%3) == nil {
+					q.Release(name(i))
+				}
+			}(i)
+		}
+		wg.Wait()
+		q.mu.Lock()
+		held, waiting := len(q.held), len(q.waiters)
+		q.mu.Unlock()
+		if held != 0 || waiting != 0 {
+			t.Errorf("held holds %d tenants and %d waiters remain after every slot was released", held, waiting)
+		}
+	})
+
+	// A full bucket and no bucket are the same state, so the limiter
+	// deletes refilled buckets on its next prune. Afterwards only the
+	// bucket its latest caller is still draining remains.
+	t.Run("Limiter.buckets", func(t *testing.T) {
+		l := NewLimiter()
+		now := time.Unix(1000, 0)
+		l.now = func() time.Time { return now }
+		for i := 0; i < ids; i++ {
+			if ok, _ := l.Allow(name(i), 1, 3); !ok {
+				t.Fatalf("%s denied inside its burst", name(i))
+			}
+		}
+		now = now.Add(time.Hour)
+		for i := 0; i < pruneEvery; i++ {
+			l.Allow("probe", 1, 3)
+		}
+		if _, ok := l.buckets["probe"]; !ok || len(l.buckets) != 1 {
+			t.Errorf("buckets holds %d tenants once refilled and pruned, want only the probe's", len(l.buckets))
+		}
+	})
 }

@@ -191,7 +191,10 @@ type frame struct {
 // dominates the fixed cost of short simulations (large-footprint profiles
 // like gcc spend ~10ms here), and sweeps re-run the same 18 profiles
 // hundreds of times, so memoization pays for itself immediately. The cache
-// is bounded by the set of distinct profiles used in the process.
+// is not bounded: Profile includes Seed, so every new trace seed adds a
+// program (~0.9 MB each) that stays for the life of the process, and a
+// long-running server grows it with each seed its clients submit. Bounding
+// it is ROADMAP item 3.
 var (
 	progMu    sync.Mutex
 	progCache = map[Profile]*program{}

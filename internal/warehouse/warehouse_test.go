@@ -2,6 +2,7 @@ package warehouse
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -638,5 +639,44 @@ func TestSegmentFromRows(t *testing.T) {
 	}
 	if _, err := SegmentFromRows("s000001", "wh-test", jobs, rows[:3]); err == nil {
 		t.Error("SegmentFromRows accepted a short row slice")
+	}
+}
+
+// TestBuildersReleasedAfterChurn opens a builder for each of many sweeps
+// and ends every one, by a complete Seal, an incomplete Seal or a
+// Discard: no builder may outlive its sweep.
+func TestBuildersReleasedAfterChurn(t *testing.T) {
+	jobs, rows := testJobsRows(t)
+	w, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sweeps = 300
+	for n := 0; n < sweeps; n++ {
+		id := fmt.Sprintf("s%06d", n)
+		w.Begin(id, "wh-test", "", len(jobs))
+		added := len(jobs)
+		if n%3 != 0 {
+			added = n % len(jobs)
+		}
+		for i := 0; i < added; i++ {
+			w.Add(id, i, jobs[i], rows[i])
+		}
+		if n%3 == 2 {
+			w.Discard(id)
+			continue
+		}
+		if err := w.Seal(id); (err == nil) != (added == len(jobs)) {
+			t.Fatalf("Seal(%s) with %d of %d rows: err %v", id, added, len(jobs), err)
+		}
+	}
+	w.mu.Lock()
+	left := len(w.builders)
+	w.mu.Unlock()
+	if left != 0 {
+		t.Errorf("%d builders left after every sweep ended, want 0", left)
+	}
+	if got := w.Stats().Segments; got != sweeps/3 {
+		t.Errorf("%d segments sealed, want %d", got, sweeps/3)
 	}
 }
