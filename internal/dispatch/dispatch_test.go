@@ -235,9 +235,6 @@ func TestCoordinatorMapsReleaseAfterChurn(t *testing.T) {
 			t.Errorf("sweep %s streamed %d rows, want 6", ack.ID, got)
 		}
 	}
-	if st := f.coord.Stats(); st.Completed != 12*6 {
-		t.Errorf("coordinator completed %d tasks, want %d: %+v", st.Completed, 12*6, st)
-	}
 	requireReleased(t, f.coord)
 }
 
