@@ -71,9 +71,9 @@ type RunnerConfig struct {
 }
 
 // Runner executes job batches through a bounded worker pool, memoizing
-// results by job content in a pluggable Cache. It is safe for concurrent
-// use, and its cache persists across Run calls (and, with a disk-backed
-// cache, across processes).
+// results by job content in a pluggable Cache and job keys in a bounded
+// in-memory memo. It is safe for concurrent use, and its cache persists
+// across Run calls (and, with a disk-backed cache, across processes).
 type Runner struct {
 	cfg   RunnerConfig
 	cache Cache
