@@ -190,31 +190,54 @@ type frame struct {
 // during walking, so concurrent Generators can share one copy. Building
 // dominates the fixed cost of short simulations (large-footprint profiles
 // like gcc spend ~10ms here), and sweeps re-run the same 18 profiles
-// hundreds of times, so memoization pays for itself immediately. The cache
-// is not bounded: Profile includes Seed, so every new trace seed adds a
-// program (~0.9 MB each) that stays for the life of the process, and a
-// long-running server grows it with each seed its clients submit. Bounding
-// it is ROADMAP item 3.
+// hundreds of times, so memoization pays for itself immediately. Profile
+// includes Seed, so every new trace seed adds programs (~0.9 MB each);
+// the cache keeps at most progCacheCap of them and, when full, drops the
+// least recently used. Eviction cannot change a stream: a Generator keeps
+// the program it started with, and a rebuilt program is identical.
 var (
 	progMu    sync.Mutex
-	progCache = map[Profile]*program{}
+	progClock uint64 // ticks on every lookup and insert; orders cachedProg.used
+	progCache = map[Profile]*cachedProg{}
 )
+
+// progCacheCap bounds progCache: three trace seeds' worth of the 18
+// SPEC95 proxies, about 60 MB.
+const progCacheCap = 64
+
+type cachedProg struct {
+	prog *program
+	used uint64 // progClock at the last lookup or insert
+}
 
 // buildProgram returns the (possibly cached) static program for prof.
 func buildProgram(prof Profile) *program {
 	progMu.Lock()
-	prog, ok := progCache[prof]
-	progMu.Unlock()
-	if ok {
-		return prog
+	progClock++
+	if c, ok := progCache[prof]; ok {
+		c.used = progClock
+		progMu.Unlock()
+		return c.prog
 	}
+	progMu.Unlock()
 	// Built outside the lock: concurrent builders for the same profile
 	// produce identical programs, so a duplicated build is wasted work,
 	// never an inconsistency.
-	prog = newBuilder(prof).build()
+	prog := newBuilder(prof).build()
 	progMu.Lock()
-	progCache[prof] = prog
-	progMu.Unlock()
+	defer progMu.Unlock()
+	if _, ok := progCache[prof]; !ok && len(progCache) >= progCacheCap {
+		var lru Profile
+		oldest := progClock + 1
+		for p, c := range progCache {
+			if c.used < oldest {
+				lru, oldest = p, c.used
+			}
+		}
+		delete(progCache, lru)
+	}
+	progClock++
+	progCache[prof] = &cachedProg{prog: prog, used: progClock}
 	return prog
 }
 
