@@ -43,11 +43,8 @@ type Config struct {
 	JobTimeout time.Duration
 	// Fallback simulates a job locally when its remote attempts are
 	// exhausted (or the coordinator is closed with callers still
-	// blocked); nil uses sweep.Simulate.
+	// blocked), at most GOMAXPROCS at once; nil uses sweep.Simulate.
 	Fallback func(sweep.Job) sim.Result
-	// LocalParallelism bounds concurrent Fallback runs; 0 uses
-	// GOMAXPROCS.
-	LocalParallelism int
 	// Journal, when non-nil, makes the coordinator durable: every state
 	// transition a restart must reconstruct is appended to this WAL, and
 	// NewCoordinator replays it so a restarted coordinator re-adopts the
@@ -57,9 +54,6 @@ type Config struct {
 	// (its Replay not yet consumed) and is owned by the caller — the
 	// coordinator never closes it.
 	Journal *wal.WAL
-	// CompactBytes is the journal size that triggers snapshot +
-	// compaction (checked from the lease janitor); 0 means 1 MiB.
-	CompactBytes int64
 	// Logf reports recovery problems (a corrupt journal falls back to a
 	// cold start); nil discards.
 	Logf func(format string, args ...any)
@@ -177,15 +171,9 @@ func NewCoordinator(cfg Config) *Coordinator {
 	if cfg.Fallback == nil {
 		cfg.Fallback = sweep.Simulate
 	}
-	if cfg.LocalParallelism <= 0 {
-		cfg.LocalParallelism = runtime.GOMAXPROCS(0)
-	}
-	if cfg.CompactBytes <= 0 {
-		cfg.CompactBytes = 1 << 20
-	}
 	c := &Coordinator{
 		cfg:        cfg,
-		localSem:   make(chan struct{}, cfg.LocalParallelism),
+		localSem:   make(chan struct{}, runtime.GOMAXPROCS(0)),
 		stop:       make(chan struct{}),
 		workers:    make(map[string]*worker),
 		tasks:      make(map[uint64]*task),
@@ -224,7 +212,9 @@ func (c *Coordinator) janitor() {
 			return
 		case now := <-tick.C:
 			c.expire(now)
-			c.maybeCompact()
+			if j := c.cfg.Journal; j != nil && j.SizeBytes() >= compactBytes {
+				c.compact()
+			}
 		}
 	}
 }

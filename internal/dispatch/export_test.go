@@ -70,9 +70,9 @@ func (c *Coordinator) DebugSnapshot() DebugState {
 	return st
 }
 
-// CompactNow runs the janitor's compaction check synchronously. Tests
-// only.
-func (c *Coordinator) CompactNow() { c.maybeCompact() }
+// CompactNow compacts the journal synchronously, whatever its size.
+// Tests only.
+func (c *Coordinator) CompactNow() { c.compact() }
 
 // LiveEntries returns the sizes of the coordinator's per-task maps: live
 // tasks by id and by content address, and leases held summed over the

@@ -265,19 +265,16 @@ func (c *Coordinator) snapshotLocked() ([]byte, error) {
 	return json.Marshal(snap)
 }
 
-// maybeCompact snapshots and compacts the journal once its live record
-// bytes pass the threshold. Called from the janitor off the lease tick.
-func (c *Coordinator) maybeCompact() {
-	j := c.cfg.Journal
-	if j == nil || j.SizeBytes() < c.cfg.CompactBytes {
-		return
-	}
+// compactBytes is the live journal size that triggers the janitor's
+// compaction.
+const compactBytes = 1 << 20
+
+// compact replaces the journal's records with a snapshot of the
+// coordinator state.
+func (c *Coordinator) compact() {
 	c.mu.Lock()
-	snap, err := c.snapshotLocked()
-	if err != nil {
-		c.mu.Unlock()
-		return
+	defer c.mu.Unlock()
+	if snap, err := c.snapshotLocked(); err == nil {
+		c.cfg.Journal.Compact(snap)
 	}
-	j.Compact(snap)
-	c.mu.Unlock()
 }

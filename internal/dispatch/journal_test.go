@@ -230,9 +230,7 @@ func TestDispatchJournalCompaction(t *testing.T) {
 	jobs := specJobs(t, testSpec)
 
 	j1 := openJournal(t, dir)
-	cfg := journaledConfig(j1)
-	cfg.CompactBytes = 1 // any journaled byte triggers the janitor's compaction
-	live := dispatch.NewCoordinator(cfg)
+	live := dispatch.NewCoordinator(journaledConfig(j1))
 	enqueue(t, live, jobs)
 	w1 := register(t, live, 4)
 	leases := poll(t, live, w1, api.PollRequest{Want: 2}).Jobs

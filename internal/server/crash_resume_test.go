@@ -9,7 +9,9 @@ package server
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,6 +20,7 @@ import (
 	"repro/internal/store"
 	"repro/internal/sweep"
 	"repro/internal/wal"
+	"repro/rf/api"
 )
 
 // resumeSpec is testSpec with serialized execution, so rows land one at
@@ -58,91 +61,192 @@ func waitStatus(t *testing.T, base, statusURL string, ok func(int, string) bool)
 	}
 }
 
-func TestServerCrashResume(t *testing.T) {
-	walDir := t.TempDir()
-	storeDir := t.TempDir()
-
-	// First life: simulate three jobs, then block the fourth in the
-	// simulator until the test ends — the crash happens "between rows".
+// crashMidSweep runs resumeSpec on a journaled server over walDir and
+// storeDir until three rows are journaled and the fourth job is blocked
+// in the simulator, calls stuck (if non-nil) while it stays blocked, and
+// then crashes the server: it closes the HTTP front end and the journal
+// file handles but never calls Shutdown, so the abandoned server flushes
+// nothing and its in-memory sweep table is lost.
+func crashMidSweep(t *testing.T, walDir, storeDir string, stuck func(srv *Server, base string, ack api.SubmitResponse)) api.SubmitResponse {
+	t.Helper()
 	release := make(chan struct{})
-	var sims1 atomic.Int64
+	var sims atomic.Int64
 	gated := func(j sweep.Job) sim.Result {
-		if sims1.Add(1) > 3 {
+		if sims.Add(1) > 3 {
 			<-release
 		}
 		return fakeSim(j)
 	}
-	st1, err := store.Open(storeDir, store.Options{})
+	st, err := store.Open(storeDir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j1 := openWAL(t, walDir)
-	srv1 := New(Config{Cache: st1, Simulate: gated, Journal: j1})
-	ts1 := httptest.NewServer(srv1)
-	// Registered before any assertion so it runs after ts2's cleanup but
-	// before the TempDir removals: unblock the abandoned server's stuck
-	// execute goroutine and wait it out, so it cannot race file writes
-	// against the directory cleanup.
+	j := openWAL(t, walDir)
+	srv := New(Config{Cache: st, Simulate: gated, Journal: j})
+	ts := httptest.NewServer(srv)
+	// Registered before any assertion so it runs after later lives'
+	// cleanups but before the TempDir removals: unblock the abandoned
+	// server's stuck execute goroutine and wait it out, so it cannot race
+	// file writes against the directory cleanup.
 	t.Cleanup(func() {
 		close(release)
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		srv1.Shutdown(ctx)
+		srv.Shutdown(ctx)
 	})
-	ack := submit(t, ts1.URL, resumeSpec)
+	ack := submit(t, ts.URL, resumeSpec)
 	if ack.Jobs != 6 {
 		t.Fatalf("spec expanded to %d jobs, want 6", ack.Jobs)
 	}
-	waitStatus(t, ts1.URL, ack.StatusURL, func(completed int, _ string) bool {
+	waitStatus(t, ts.URL, ack.StatusURL, func(completed int, _ string) bool {
 		return completed == 3
 	})
-	// Crash: close the HTTP front end and the journal file handles, but
-	// never call Shutdown — the abandoned server flushes nothing and its
-	// in-memory sweep table is lost.
-	ts1.Close()
-	j1.Close()
+	if stuck != nil {
+		stuck(srv, ts.URL, ack)
+	}
+	ts.Close()
+	j.Close()
+	return ack
+}
 
-	// Second life: same journal, same store, a fresh simulator that
-	// counts every job it is asked to run.
-	var sims2 atomic.Int64
+// restart starts the next life of a crashed server on the same journal
+// and store, with a simulator that counts every job it is asked to run.
+// The returned stop ends the life cleanly; it also runs at cleanup.
+func restart(t *testing.T, walDir, storeDir string) (base string, sims *atomic.Int64, stop func()) {
+	t.Helper()
+	sims = new(atomic.Int64)
 	counted := func(j sweep.Job) sim.Result {
-		sims2.Add(1)
+		sims.Add(1)
 		return fakeSim(j)
 	}
-	st2, err := store.Open(storeDir, store.Options{})
+	st, err := store.Open(storeDir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2 := openWAL(t, walDir)
-	srv2 := New(Config{Cache: st2, Simulate: counted, Journal: j2})
-	ts2 := httptest.NewServer(srv2)
-	t.Cleanup(func() {
-		ts2.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv2.Shutdown(ctx)
-		j2.Close()
-	})
+	j := openWAL(t, walDir)
+	srv := New(Config{Cache: st, Simulate: counted, Journal: j})
+	ts := httptest.NewServer(srv)
+	var once sync.Once
+	stop = func() {
+		once.Do(func() {
+			ts.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			srv.Shutdown(ctx)
+			j.Close()
+		})
+	}
+	t.Cleanup(stop)
+	return ts.URL, sims, stop
+}
 
-	waitStatus(t, ts2.URL, ack.StatusURL, func(_ int, state string) bool {
+// TestServerCrashResume crashes a server between rows and restarts it:
+// once straight from the record log, and once from a snapshot compacted
+// while the sweep was still running.
+func TestServerCrashResume(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		compact bool
+	}{
+		{"log", false},
+		{"snapshot", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			walDir, storeDir := t.TempDir(), t.TempDir()
+			var stuck func(*Server, string, api.SubmitResponse)
+			if tc.compact {
+				stuck = func(srv *Server, _ string, _ api.SubmitResponse) {
+					srv.compactJournal()
+					if st := srv.cfg.Journal.Stats(); st.Compactions != 1 {
+						t.Fatalf("Compactions = %d, want 1", st.Compactions)
+					}
+				}
+			}
+			ack := crashMidSweep(t, walDir, storeDir, stuck)
+			base, sims, _ := restart(t, walDir, storeDir)
+
+			waitStatus(t, base, ack.StatusURL, func(_ int, state string) bool {
+				return state == "done"
+			})
+			st := getStatus(t, base, ack.StatusURL)
+			if !st.Recovered {
+				t.Error("resumed sweep status does not carry the recovered marker")
+			}
+			if st.Completed != 6 || st.Cached != 0 {
+				t.Errorf("resumed status completed=%d cached=%d, want 6 and 0", st.Completed, st.Cached)
+			}
+			if got := sims.Load(); got != 3 {
+				t.Errorf("restart re-simulated %d jobs, want exactly the 3 interrupted ones", got)
+			}
+			// The acceptance contract: the resumed stream is byte-identical
+			// to an uninterrupted run of the same spec.
+			got := streamAll(t, base, ack.ResultsURL)
+			want := rfbatchNDJSON(t, resumeSpec, fakeSim)
+			if got != want {
+				t.Errorf("resumed stream differs from uninterrupted output:\n--- resumed ---\n%s--- reference ---\n%s", got, want)
+			}
+		})
+	}
+}
+
+// TestServerCrashCanceledSnapshot pins that a compaction keeps a cancel
+// the sweep has not settled: cancel while a job is blocked, compact,
+// crash, restart. The sweep must end canceled with nothing re-simulated.
+func TestServerCrashCanceledSnapshot(t *testing.T) {
+	walDir, storeDir := t.TempDir(), t.TempDir()
+	ack := crashMidSweep(t, walDir, storeDir, func(srv *Server, base string, ack api.SubmitResponse) {
+		req, err := http.NewRequest(http.MethodDelete, base+ack.StatusURL, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("cancel returned %d", resp.StatusCode)
+		}
+		// The blocked job keeps the sweep running, so no end record exists
+		// yet: the snapshot alone must carry the cancel.
+		srv.compactJournal()
+	})
+	base, sims, _ := restart(t, walDir, storeDir)
+	st := getStatus(t, base, ack.StatusURL)
+	if st.State != "canceled" || st.Completed != 3 || !st.Recovered {
+		t.Errorf("restarted sweep state=%s completed=%d recovered=%v, want canceled, 3, true",
+			st.State, st.Completed, st.Recovered)
+	}
+	if got := sims.Load(); got != 0 {
+		t.Errorf("restart re-simulated %d jobs of a canceled sweep, want 0", got)
+	}
+}
+
+// TestServerRecoveredSurvivesRestarts pins that the recovered marker is
+// journaled, not only held in memory: a sweep resumed and finished in
+// the second life still reports recovered in the third, with no
+// compaction in between.
+func TestServerRecoveredSurvivesRestarts(t *testing.T) {
+	walDir, storeDir := t.TempDir(), t.TempDir()
+	ack := crashMidSweep(t, walDir, storeDir, nil)
+	base, _, stop := restart(t, walDir, storeDir)
+	waitStatus(t, base, ack.StatusURL, func(_ int, state string) bool {
 		return state == "done"
 	})
-	st := getStatus(t, ts2.URL, ack.StatusURL)
-	if !st.Recovered {
-		t.Error("resumed sweep status does not carry the recovered marker")
+	want := streamAll(t, base, ack.ResultsURL)
+	stop()
+
+	base, sims, _ := restart(t, walDir, storeDir)
+	st := getStatus(t, base, ack.StatusURL)
+	if st.State != "done" || st.Completed != 6 || !st.Recovered {
+		t.Errorf("third life sweep state=%s completed=%d recovered=%v, want done, 6, true",
+			st.State, st.Completed, st.Recovered)
 	}
-	if st.Completed != 6 || st.Cached != 0 {
-		t.Errorf("resumed status completed=%d cached=%d, want 6 and 0", st.Completed, st.Cached)
+	if got := sims.Load(); got != 0 {
+		t.Errorf("third life simulated %d jobs, want 0", got)
 	}
-	if got := sims2.Load(); got != 3 {
-		t.Errorf("restart re-simulated %d jobs, want exactly the 3 interrupted ones", got)
-	}
-	// The acceptance contract: the resumed stream is byte-identical to an
-	// uninterrupted run of the same spec.
-	got := streamAll(t, ts2.URL, ack.ResultsURL)
-	want := rfbatchNDJSON(t, resumeSpec, fakeSim)
-	if got != want {
-		t.Errorf("resumed stream differs from uninterrupted output:\n--- resumed ---\n%s--- reference ---\n%s", got, want)
+	if got := streamAll(t, base, ack.ResultsURL); got != want {
+		t.Error("third life stream differs from the second life's")
 	}
 }
 
@@ -153,7 +257,7 @@ func TestServerJournalCompactionResume(t *testing.T) {
 	walDir := t.TempDir()
 
 	j1 := openWAL(t, walDir)
-	srv1 := New(Config{Simulate: fakeSim, Journal: j1, CompactBytes: 1})
+	srv1 := New(Config{Simulate: fakeSim, Journal: j1})
 	ts1 := httptest.NewServer(srv1)
 	ack := submit(t, ts1.URL, testSpec)
 	waitStatus(t, ts1.URL, ack.StatusURL, func(_ int, state string) bool {

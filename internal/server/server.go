@@ -35,6 +35,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -89,8 +90,6 @@ type Config struct {
 	// MaxJobs rejects specs that expand to more jobs than this;
 	// 0 means 100000.
 	MaxJobs int
-	// MaxBodyBytes bounds the request body of a submission; 0 means 1 MiB.
-	MaxBodyBytes int64
 	// Objects, when non-nil, serves this node's result store over
 	// GET/PUT /v1/objects/{key} — the remote tier other nodes read
 	// through and the fleet-peer tier workers advertise. Usually the
@@ -125,12 +124,12 @@ type Config struct {
 	// cmd/rfserved) on /metrics under rfserved_wal_*{journal="<name>"};
 	// the server does not write to them.
 	ExtraJournals map[string]*wal.WAL
-	// CompactBytes is the journal size that triggers snapshot +
-	// compaction; 0 means 1 MiB.
-	CompactBytes int64
 	// Logf reports journal recovery and resume events; nil discards.
 	Logf func(format string, args ...any)
 }
+
+// maxBodyBytes bounds a submission, query or object upload body.
+const maxBodyBytes = 1 << 20
 
 // sweepState is the lifecycle of one submitted sweep.
 type sweepState string
@@ -141,19 +140,20 @@ const (
 	stateCanceled sweepState = "canceled"
 )
 
-// sweepRun holds one submitted sweep and its incrementally filled rows.
+// sweepRun holds one submitted sweep: its accepted spec and its
+// incrementally filled rows (the job list lives only in execute).
 type sweepRun struct {
 	id          string
 	name        string
 	tenant      string // owning tenant's name
 	priority    int    // effective scheduling tier
-	parallelism int    // effective per-sweep worker budget (journaling)
-	jobs        []sweep.Job
+	parallelism int    // effective per-sweep worker budget
+	spec        string // the accepted request body verbatim
 	cancel      context.CancelFunc
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// rows has one entry per job; a row is present once its Key is set.
 	rows      []sweep.Row
-	done      []bool
 	completed int
 	cached    int
 	state     sweepState
@@ -161,6 +161,8 @@ type sweepRun struct {
 	finished  time.Time
 	// recovered marks a sweep resumed from the journal after a restart.
 	recovered bool
+	// canceling records a cancel request the sweep has not settled yet.
+	canceling bool
 	// notify is closed and replaced whenever rows or state change;
 	// streamers wait on it instead of polling.
 	notify chan struct{}
@@ -235,12 +237,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxJobs <= 0 {
 		cfg.MaxJobs = 100000
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 1 << 20
-	}
-	if cfg.CompactBytes <= 0 {
-		cfg.CompactBytes = 1 << 20
 	}
 	s := &Server{
 		cfg:        cfg,
@@ -501,6 +497,30 @@ func (s *Server) rateLimit(w http.ResponseWriter, tn *tenant.Tenant) bool {
 	return false
 }
 
+// jobCount counts a spec's jobs, before expanding it, and applies the
+// server's bounds; a rejection carries its HTTP status. Submission and
+// journal replay share it, so no journal can size a row table past
+// MaxJobs.
+func (s *Server) jobCount(spec *sweep.Spec) (int, int, error) {
+	count, err := spec.JobCount()
+	switch {
+	case err != nil:
+		return 0, http.StatusBadRequest, err
+	case count == 0:
+		return 0, http.StatusBadRequest, errors.New("sweep: spec expands to zero jobs")
+	case count >= sweep.MaxJobCount:
+		// A saturated count is rejected no matter how generous MaxJobs
+		// is: past the saturation point the true expansion is unknown and
+		// materializing it is exactly the DoS the pre-count exists to stop.
+		return 0, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("sweep: spec expands to at least %d jobs", sweep.MaxJobCount)
+	case count > s.cfg.MaxJobs:
+		return 0, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("sweep: spec expands to %d jobs, limit is %d", count, s.cfg.MaxJobs)
+	}
+	return count, 0, nil
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	tn := s.authTenant(w, r)
 	if tn == nil {
@@ -509,47 +529,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.rateLimit(w, tn) {
 		return
 	}
-	body := io.Reader(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	var rawSpec []byte
-	if s.cfg.Journal != nil {
-		// Capture the body verbatim: the journal replays the accepted
-		// bytes, not a re-marshaled spec, so recovery expands exactly the
-		// job list this submission did.
-		data, err := io.ReadAll(body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		rawSpec = data
-		body = bytes.NewReader(data)
+	// The body is kept verbatim: the journal and its snapshots carry the
+	// accepted bytes, not a re-marshaled spec, so recovery expands
+	// exactly the job list this submission did.
+	rawSpec, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "sweep: bad spec: %v", err)
+		return
 	}
-	spec, err := sweep.ParseSpec(body)
+	spec, err := sweep.ParseSpec(bytes.NewReader(rawSpec))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Count before expanding, so an absurd cross product is rejected
-	// without materializing it.
-	count, err := spec.JobCount()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if count == 0 {
-		writeError(w, http.StatusBadRequest, "sweep: spec expands to zero jobs")
-		return
-	}
-	// A saturated count is rejected no matter how generous MaxJobs is:
-	// past the saturation point the true expansion is unknown and
-	// materializing it is exactly the DoS the pre-count exists to stop.
-	if count >= sweep.MaxJobCount {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			"sweep: spec expands to at least %d jobs", sweep.MaxJobCount)
-		return
-	}
-	if count > s.cfg.MaxJobs {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			"sweep: spec expands to %d jobs, limit is %d", count, s.cfg.MaxJobs)
+	if _, status, err := s.jobCount(spec); err != nil {
+		writeError(w, status, "%v", err)
 		return
 	}
 	jobs, err := spec.Jobs()
@@ -592,10 +586,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		tenant:      tn.Name,
 		priority:    priority,
 		parallelism: parallelism,
-		jobs:        jobs,
+		spec:        string(rawSpec),
 		cancel:      cancel,
 		rows:        make([]sweep.Row, len(jobs)),
-		done:        make([]bool, len(jobs)),
 		state:       stateRunning,
 		submitted:   time.Now(),
 		notify:      make(chan struct{}),
@@ -623,16 +616,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// a sweep the client saw accepted must survive a crash.
 	s.journalAppend(srvRec{
 		Op: "submit", ID: run.id, Name: run.name, Tenant: run.tenant,
-		Pri: run.priority, Par: parallelism, Spec: string(rawSpec),
+		Pri: run.priority, Par: parallelism, Spec: run.spec,
 		Submitted: run.submitted,
-	})
+	}, nil)
 	if s.cfg.Warehouse != nil {
 		// Open the sweep's index builder before execution can publish a
 		// row; rows then ingest through the seam in execute, right next to
 		// the journal hook.
 		s.cfg.Warehouse.Begin(run.id, run.name, run.tenant, len(jobs))
 	}
-	go s.execute(ctx, run, parallelism)
+	go s.execute(ctx, run, jobs)
 
 	ack := api.SubmitResponse{
 		Schema: api.Version,
@@ -650,20 +643,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // execute runs one sweep to completion (or cancellation) on the shared
-// runner, publishing rows as jobs resolve.
-func (s *Server) execute(ctx context.Context, run *sweepRun, parallelism int) {
+// runner, publishing rows as jobs resolve. jobs is the sweep's full
+// expansion; it is dropped when execute returns.
+func (s *Server) execute(ctx context.Context, run *sweepRun, jobs []sweep.Job) {
 	defer s.wg.Done()
 	// Resume-aware job selection: run only the jobs with no completed
 	// row, reporting progress under each job's original index. For a
 	// fresh sweep this is the identity mapping; for a recovered one it
 	// is exactly the work the crash interrupted.
 	run.mu.Lock()
-	remap := make([]int, 0, len(run.jobs))
-	jobs := make([]sweep.Job, 0, len(run.jobs))
-	for i, done := range run.done {
-		if !done {
+	remap := make([]int, 0, len(jobs))
+	todo := make([]sweep.Job, 0, len(jobs))
+	for i := range jobs {
+		if run.rows[i].Key == "" {
 			remap = append(remap, i)
-			jobs = append(jobs, run.jobs[i])
+			todo = append(todo, jobs[i])
 		}
 	}
 	run.mu.Unlock()
@@ -672,28 +666,24 @@ func (s *Server) execute(ctx context.Context, run *sweepRun, parallelism int) {
 	// SimulateContext hook (fair queue) and, in coordinator mode, the
 	// dispatcher's priority queue.
 	ctx = tenant.NewContext(ctx, tenant.Admission{Tenant: run.tenant, Priority: run.priority})
-	_, err := s.runner.RunOutcomesContext(ctx, jobs, parallelism, func(p sweep.Progress) {
+	_, err := s.runner.RunOutcomesContext(ctx, todo, run.parallelism, func(p sweep.Progress) {
 		idx := remap[p.Index]
 		row := sweep.RowOf(p.Job, sweep.Outcome{Result: p.Result, Key: p.Key, Cached: p.Cached})
 		// Journaled before publishing: a row a client may have streamed
 		// must survive the crash that follows it.
-		s.journalAppend(srvRec{Op: "row", ID: run.id, Index: idx, Row: &row})
+		s.journalAppend(srvRec{Op: "row", ID: run.id, Index: idx, Row: &row}, func() {
+			run.mu.Lock()
+			run.setRowLocked(idx, row)
+			doneHere++
+			run.wakeLocked()
+			run.mu.Unlock()
+		})
 		if s.cfg.Warehouse != nil {
 			// The warehouse ingest seam sits beside the journal hook: the
 			// row is indexed under its job-expansion index, so the sealed
 			// segment's order never depends on completion order.
 			s.cfg.Warehouse.Add(run.id, idx, p.Job, row)
 		}
-		run.mu.Lock()
-		run.rows[idx] = row
-		run.done[idx] = true
-		run.completed++
-		if p.Cached {
-			run.cached++
-		}
-		doneHere++
-		run.wakeLocked()
-		run.mu.Unlock()
 		s.jobsCompleted.Add(1)
 		if p.Cached {
 			s.jobsFromCache.Add(1)
@@ -710,13 +700,14 @@ func (s *Server) execute(ctx context.Context, run *sweepRun, parallelism int) {
 		s.sweepsCanceled.Add(1)
 	}
 	run.finished = time.Now()
-	state, finished := run.state, run.finished
-	skipped := len(jobs) - doneHere
+	end := srvRec{Op: "end", ID: run.id, State: string(run.state),
+		Finished: run.finished, Recovered: run.recovered}
+	skipped := len(todo) - doneHere
 	run.wakeLocked()
 	run.mu.Unlock()
-	s.journalAppend(srvRec{Op: "end", ID: run.id, State: string(state), Finished: finished})
+	s.journalAppend(end, nil)
 	if wh := s.cfg.Warehouse; wh != nil {
-		if state == stateDone {
+		if err == nil {
 			// Seal logs and counts its own failures; a sweep that cannot
 			// seal stays unindexed and is rebuilt from the store next start.
 			wh.Seal(run.id)
@@ -728,6 +719,18 @@ func (s *Server) execute(ctx context.Context, run *sweepRun, parallelism int) {
 	s.queued.Release(run.tenant, skipped) // jobs skipped by cancellation
 	s.active.Release(run.tenant, 1)
 	run.cancel() // release the context regardless of how the sweep ended
+}
+
+// setRowLocked records the row of job i; run.mu must be held (or the
+// run not yet shared).
+func (r *sweepRun) setRowLocked(i int, row sweep.Row) {
+	if r.rows[i].Key == "" {
+		r.completed++
+		if row.Cached {
+			r.cached++
+		}
+	}
+	r.rows[i] = row
 }
 
 // wakeLocked signals streamers; run.mu must be held.
@@ -745,7 +748,7 @@ func (r *sweepRun) status(stamped bool) api.SweepStatus {
 	st := api.SweepStatus{
 		Schema: api.Version,
 		ID:     r.id, Name: r.name, State: string(r.state),
-		Total: len(r.jobs), Completed: r.completed, Cached: r.cached,
+		Total: len(r.rows), Completed: r.completed, Cached: r.cached,
 		Simulated:  r.completed - r.cached,
 		Submitted:  r.submitted.UTC().Format(time.RFC3339Nano),
 		ResultsURL: "/v1/sweeps/" + r.id + "/results",
@@ -782,15 +785,20 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, run.status(s.tenanted()))
 }
 
-func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
+// runs returns every sweep in submission order.
+func (s *Server) runs() []*sweepRun {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	runs := make([]*sweepRun, 0, len(s.order))
 	for _, id := range s.order {
 		runs = append(runs, s.sweeps[id])
 	}
-	s.mu.Unlock()
+	return runs
+}
+
+func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	out := api.SweepList{Sweeps: []api.SweepStatus{}}
-	for _, run := range runs {
+	for _, run := range s.runs() {
 		out.Sweeps = append(out.Sweeps, run.status(s.tenanted()))
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -822,7 +830,11 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	// Journaled before the cancel takes effect: if the server dies before
 	// execute settles the terminal state, recovery must not resume the
 	// sweep the client was told is being canceled.
-	s.journalAppend(srvRec{Op: "cancel", ID: run.id})
+	s.journalAppend(srvRec{Op: "cancel", ID: run.id}, func() {
+		run.mu.Lock()
+		run.canceling = true
+		run.mu.Unlock()
+	})
 	run.cancel()
 	writeJSON(w, http.StatusAccepted, run.status(s.tenanted()))
 }
@@ -876,7 +888,7 @@ func (s *Server) handleObjectPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "rfserved: malformed object key %q", k)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "rfserved: bad object body: %v", err)
 		return
@@ -947,29 +959,26 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	for {
 		run.mu.Lock()
 		batch = batch[:0]
-		for next < len(run.jobs) && run.done[next] {
+		for next < len(run.rows) && run.rows[next].Key != "" {
 			batch = append(batch, run.rows[next])
 			next++
 		}
 		state := run.state
 		notify := run.notify
-		run.mu.Unlock()
-
 		// A terminal sweep delivers everything it has: a cancellation can
 		// leave gaps (skipped jobs between completed ones), and rows past
 		// a gap must still reach the client. While running, emission stays
 		// strictly in-order so a completed sweep's stream is byte-identical
 		// to rfbatch output.
 		if state != stateRunning {
-			run.mu.Lock()
-			for i := next; i < len(run.jobs); i++ {
-				if run.done[i] {
-					batch = append(batch, run.rows[i])
+			for _, row := range run.rows[next:] {
+				if row.Key != "" {
+					batch = append(batch, row)
 				}
 			}
-			next = len(run.jobs)
-			run.mu.Unlock()
+			next = len(run.rows)
 		}
+		run.mu.Unlock()
 		for _, row := range batch {
 			if err := sweep.WriteRow(w, row); err != nil {
 				return

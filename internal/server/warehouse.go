@@ -31,7 +31,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		doc = []byte(qs)
 	} else {
-		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "rfserved: bad query body: %v", err)
 			return
@@ -53,26 +53,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // warehouseRebuildDone re-indexes one journal-recovered done sweep that
 // has no sealed segment (warehouse directory deleted, segment corrupt,
-// or the crash predates the seal). Each job's row is re-derived from
-// the content-addressed store, falling back to the journaled row — the
-// rebuildability invariant: the warehouse is a view, never a source.
-// Called during recovery, before the sweep's run is shared.
-func (s *Server) warehouseRebuildDone(run *sweepRun) {
-	wh := s.cfg.Warehouse
-	if wh == nil || run.state != stateDone || wh.Has(run.id) {
-		return
-	}
+// or the crash predates the seal) from its re-expanded jobs. Each job's
+// row is re-derived from the content-addressed store, falling back to
+// the journaled row — the rebuildability invariant: the warehouse is a
+// view, never a source. Called during recovery, before the sweep's run
+// is shared.
+func (s *Server) warehouseRebuildDone(run *sweepRun, jobs []sweep.Job) {
 	get := func(k sweep.Key) (sim.Result, bool) {
 		if s.cfg.Cache == nil {
 			return sim.Result{}, false
 		}
 		return s.cfg.Cache.Get(k)
 	}
-	if err := wh.RebuildSweep(run.id, run.name, run.tenant, run.jobs, run.rows, run.done, get); err != nil {
+	if err := s.cfg.Warehouse.RebuildSweep(run.id, run.name, run.tenant, jobs, run.rows, get); err != nil {
 		s.logf("rfserved: warehouse rebuild of sweep %s failed: %v", run.id, err)
 		return
 	}
-	s.logf("rfserved: warehouse rebuilt sweep %s (%d rows) from the store", run.id, len(run.jobs))
+	s.logf("rfserved: warehouse rebuilt sweep %s (%d rows) from the store", run.id, len(jobs))
 }
 
 // warehousePrepareResume opens a resuming sweep's index builder and
@@ -80,15 +77,15 @@ func (s *Server) warehouseRebuildDone(run *sweepRun) {
 // execute supplies only the jobs the crash interrupted and the eventual
 // seal covers the whole sweep. Must run before the sweep's execute
 // goroutine starts.
-func (s *Server) warehousePrepareResume(run *sweepRun) {
+func (s *Server) warehousePrepareResume(run *sweepRun, jobs []sweep.Job) {
 	wh := s.cfg.Warehouse
 	if wh == nil {
 		return
 	}
-	wh.Begin(run.id, run.name, run.tenant, len(run.jobs))
-	for i, done := range run.done {
-		if done {
-			wh.Add(run.id, i, run.jobs[i], run.rows[i])
+	wh.Begin(run.id, run.name, run.tenant, len(jobs))
+	for i, row := range run.rows {
+		if row.Key != "" {
+			wh.Add(run.id, i, jobs[i], row)
 		}
 	}
 }

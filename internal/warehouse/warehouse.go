@@ -248,30 +248,28 @@ func (w *Warehouse) Has(sweepID string) bool {
 
 // RebuildSweep reconstructs one finished sweep's segment without having
 // observed its rows live: each job's result is fetched from the
-// content-addressed store (get), falling back to the journaled row for
-// results the store has evicted. It errors — leaving the sweep
-// unindexed — if any job is recoverable from neither.
+// content-addressed store (get), falling back to the journaled row
+// (rows[i], present when its Key is set) for results the store has
+// evicted. It errors — leaving the sweep unindexed — if any job is
+// recoverable from neither.
 func (w *Warehouse) RebuildSweep(sweepID, name, tenant string, jobs []sweep.Job,
-	rows []sweep.Row, have []bool, get func(sweep.Key) (sim.Result, bool)) error {
+	rows []sweep.Row, get func(sweep.Key) (sim.Result, bool)) error {
 	b := NewBuilder(sweepID, name, tenant, len(jobs))
 	for i, j := range jobs {
 		k := j.Key()
+		var row sweep.Row
 		if res, ok := get(k); ok {
-			if err := b.Add(i, j, sweep.RowOf(j, sweep.Outcome{Result: res, Key: k, Cached: true})); err != nil {
-				w.ingestErrors.Add(1)
-				return err
-			}
-			continue
+			row = sweep.RowOf(j, sweep.Outcome{Result: res, Key: k, Cached: true})
+		} else if i < len(rows) && rows[i].Key != "" {
+			row = rows[i]
+		} else {
+			w.ingestErrors.Add(1)
+			return fmt.Errorf("warehouse: sweep %s: job %d missing from store and journal", sweepID, i)
 		}
-		if i < len(rows) && i < len(have) && have[i] {
-			if err := b.Add(i, j, rows[i]); err != nil {
-				w.ingestErrors.Add(1)
-				return err
-			}
-			continue
+		if err := b.Add(i, j, row); err != nil {
+			w.ingestErrors.Add(1)
+			return err
 		}
-		w.ingestErrors.Add(1)
-		return fmt.Errorf("warehouse: sweep %s: job %d missing from store and journal", sweepID, i)
 	}
 	return w.install(b)
 }

@@ -577,7 +577,7 @@ func TestRebuildSweepMatchesIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rebuilt.RebuildSweep("s000001", "wh-test", "", jobs, nil, nil, get); err != nil {
+	if err := rebuilt.RebuildSweep("s000001", "wh-test", "", jobs, nil, get); err != nil {
 		t.Fatal(err)
 	}
 
@@ -608,13 +608,13 @@ func TestRebuildSweepMatchesIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := empty.RebuildSweep("s000002", "wh-test", "", jobs, nil, nil, get); err == nil {
+	if err := empty.RebuildSweep("s000002", "wh-test", "", jobs, nil, get); err == nil {
 		t.Error("RebuildSweep succeeded with a missing result")
 	}
 	// With the journaled row available it falls back and succeeds.
-	have := make([]bool, len(jobs))
-	have[3] = true
-	if err := empty.RebuildSweep("s000002", "wh-test", "", jobs, rows, have, get); err != nil {
+	journaled := make([]sweep.Row, len(jobs))
+	journaled[3] = rows[3]
+	if err := empty.RebuildSweep("s000002", "wh-test", "", jobs, journaled, get); err != nil {
 		t.Errorf("RebuildSweep with journal fallback: %v", err)
 	}
 }
