@@ -239,8 +239,10 @@ func main() {
 	})
 	cfg.Cache = tiers
 
+	var wh *warehouse.Warehouse
 	if *warehouseD != "" {
-		wh, err := warehouse.Open(*warehouseD, warehouse.Options{Logf: logf})
+		var err error
+		wh, err = warehouse.Open(*warehouseD, warehouse.Options{Logf: logf})
 		if err != nil {
 			fatal(err)
 		}
@@ -345,6 +347,12 @@ func main() {
 	}
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		fmt.Fprintf(os.Stderr, "rfserved: http shutdown: %v\n", err)
+	}
+	// The scheduler has sealed its last segment.
+	if wh != nil {
+		if err := wh.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "rfserved: warehouse close: %v\n", err)
+		}
 	}
 	// Tier replication drains before the local store flushes its index.
 	tiers.Close()

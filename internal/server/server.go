@@ -105,8 +105,8 @@ type Config struct {
 	Tenants *tenant.Registry
 	// Warehouse, when non-nil, maintains the columnar result index:
 	// completed rows are ingested as they publish (next to the journal
-	// hook), segments seal when sweeps finish, and GET/POST /v1/query is
-	// mounted over it. Nil (the default) keeps the wire surface and
+	// hook), a sweep's segment seals before its state turns done, and
+	// GET/POST /v1/query is mounted over it. Nil (the default) keeps the wire surface and
 	// behavior byte-identical to pre-warehouse builds. Sweeps recovered
 	// from the journal as already-done are rebuilt into segments from
 	// the content-addressed store at startup.
@@ -692,6 +692,17 @@ func (s *Server) execute(ctx context.Context, run *sweepRun, jobs []sweep.Job) {
 		s.queued.Release(run.tenant, 1)
 	})
 
+	// Index before the state flip below ends every results stream: a
+	// client that has read a done sweep's stream to the end can query it.
+	if wh := s.cfg.Warehouse; wh != nil {
+		if err == nil {
+			// Seal logs and counts its own failures; a sweep that cannot
+			// seal stays unindexed and is rebuilt from the store next start.
+			wh.Seal(run.id)
+		} else {
+			wh.Discard(run.id)
+		}
+	}
 	run.mu.Lock()
 	if err == nil {
 		run.state = stateDone
@@ -706,15 +717,6 @@ func (s *Server) execute(ctx context.Context, run *sweepRun, jobs []sweep.Job) {
 	run.wakeLocked()
 	run.mu.Unlock()
 	s.journalAppend(end, nil)
-	if wh := s.cfg.Warehouse; wh != nil {
-		if err == nil {
-			// Seal logs and counts its own failures; a sweep that cannot
-			// seal stays unindexed and is rebuilt from the store next start.
-			wh.Seal(run.id)
-		} else {
-			wh.Discard(run.id)
-		}
-	}
 	s.queueDepth.Add(-int64(skipped))
 	s.queued.Release(run.tenant, skipped) // jobs skipped by cancellation
 	s.active.Release(run.tenant, 1)

@@ -40,12 +40,15 @@ const warehouseSpec = `{
   ]
 }`
 
+// newWarehouse opens a warehouse on dir and closes it when the test
+// ends, after the servers the test started have shut down.
 func newWarehouse(t *testing.T, dir string) *warehouse.Warehouse {
 	t.Helper()
 	wh, err := warehouse.Open(dir, warehouse.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { wh.Close() })
 	return wh
 }
 
@@ -131,14 +134,30 @@ func localMerged(t *testing.T, seg *warehouse.Segment, q *api.Query) *api.QueryR
 	}
 }
 
-func waitIndexed(t *testing.T, wh *warehouse.Warehouse, sweepID string) {
+// assertIndexed fails unless the sweep has a sealed segment. A sweep
+// seals before its state turns done, so no wait is needed.
+func assertIndexed(t *testing.T, wh *warehouse.Warehouse, sweepID string) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !wh.Has(sweepID) {
-		if time.Now().After(deadline) {
-			t.Fatalf("sweep %s never sealed into the warehouse", sweepID)
+	if !wh.Has(sweepID) {
+		t.Fatalf("sweep %s is not sealed into the warehouse", sweepID)
+	}
+}
+
+// TestSweepQueryableWhenStreamEnds pins the seal-before-done order: a
+// client that has read a sweep's results stream to its end can query
+// the sweep at once, with no wait, in every one of many rounds.
+func TestSweepQueryableWhenStreamEnds(t *testing.T) {
+	wh := newWarehouse(t, t.TempDir())
+	_, ts := newTestServer(t, Config{Warehouse: wh})
+	const rounds = 200
+	for r := 0; r < rounds; r++ {
+		ack := submit(t, ts.URL, warehouseSpec)
+		streamAll(t, ts.URL, ack.ResultsURL)
+		res := queryMerged(t, ts.URL, "", &api.Query{Op: api.QueryOpRows, Sweep: ack.ID})
+		if res.Matched != 8 {
+			t.Fatalf("round %d: the query matched %d rows of sweep %s once its stream ended, want 8",
+				r, res.Matched, ack.ID)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -152,7 +171,7 @@ func TestQueryGoldenParity(t *testing.T) {
 	_, ts := newTestServer(t, Config{Warehouse: wh})
 	ack := submit(t, ts.URL, warehouseSpec)
 	waitStatus(t, ts.URL, ack.StatusURL, func(_ int, state string) bool { return state == "done" })
-	waitIndexed(t, wh, ack.ID)
+	assertIndexed(t, wh, ack.ID)
 
 	// Client side: stream the rows, re-expand the spec, build a segment.
 	ndjson := streamAll(t, ts.URL, ack.ResultsURL)
@@ -266,7 +285,7 @@ func TestWarehouseRebuildFromStore(t *testing.T) {
 	ts1 := httptest.NewServer(srv1)
 	ack := submit(t, ts1.URL, warehouseSpec)
 	waitStatus(t, ts1.URL, ack.StatusURL, func(_ int, state string) bool { return state == "done" })
-	waitIndexed(t, wh1, ack.ID)
+	assertIndexed(t, wh1, ack.ID)
 
 	queries := []string{
 		`{"op": "rows"}`,
@@ -291,6 +310,9 @@ func TestWarehouseRebuildFromStore(t *testing.T) {
 	srv1.Shutdown(ctx)
 	cancel()
 	j1.Close()
+	if err := wh1.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if err := os.RemoveAll(whDir); err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +337,7 @@ func TestWarehouseRebuildFromStore(t *testing.T) {
 		srv2.Shutdown(ctx)
 		j2.Close()
 	})
-	waitIndexed(t, wh2, ack.ID)
+	assertIndexed(t, wh2, ack.ID)
 
 	for i, doc := range queries {
 		resp := queryHTTP(t, ts2.URL, "", doc)

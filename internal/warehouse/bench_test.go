@@ -44,14 +44,11 @@ func BenchmarkEval(b *testing.B) {
 }
 
 // BenchmarkSeal measures one sweep's ingest: Begin, one Add per row of
-// the 18×6 grid, and Seal, which encodes the segment, writes it and
-// registers it beside the segments sealed before it.
+// the 18×6 grid, and Seal, which encodes the segment, appends it to the
+// log, registers it beside the segments sealed before it and syncs.
 func BenchmarkSeal(b *testing.B) {
 	jobs, rows := specJobsRows(b, gridSpecJSON, 0)
-	w, err := Open(b.TempDir(), Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	w := newWarehouse(b, b.TempDir(), Options{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -63,5 +60,32 @@ func BenchmarkSeal(b *testing.B) {
 		if err := w.Seal(id); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkOpen measures a restart's warehouse load: replaying a log of
+// 500 sealed segments of the 18×6 grid, as query-mix's server reopens
+// before its first query.
+func BenchmarkOpen(b *testing.B) {
+	jobs, rows := specJobsRows(b, gridSpecJSON, 0)
+	dir := b.TempDir()
+	w := newWarehouse(b, dir, Options{})
+	for i := 1; i <= 500; i++ {
+		sealRows(b, w, fmt.Sprintf("s%06d", i), "", jobs, rows)
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w, err := Open(dir, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st := w.Stats(); st.Segments != 500 {
+			b.Fatalf("opened %d segments, want 500", st.Segments)
+		}
+		w.Close()
 	}
 }

@@ -1,19 +1,16 @@
 package warehouse
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"math"
-	"os"
-	"path/filepath"
 
 	"repro/internal/sweep"
 )
 
-// The on-disk segment layout:
+// The segment encoding, one record of the warehouse log (warehouse.go):
 //
 //	magic "RFW1" | column data | footer JSON | footer length (u32 LE) | magic "1WFR"
 //
@@ -40,6 +37,9 @@ var (
 	f64Cols  = []string{"ipc", "mispredict_rate", "icache_miss_rate", "dcache_miss_rate", "area"}
 	u32Cols  = []string{"read_ports", "write_ports", "buses", "upper_sizes", "banks", "clusters", "phys_regs"}
 )
+
+// rowBytes is the column data one row occupies.
+var rowBytes = 4*len(dictCols) + 8*len(u64Cols) + 8*len(f64Cols) + 4*len(u32Cols) + 1 + keyHexLen
 
 // Segment is one sweep's rows in column-per-metric layout, fully
 // resident in memory. Segments are immutable once built.
@@ -99,60 +99,93 @@ func (b *Builder) Complete() bool { return b.n == len(b.rows) }
 
 // Segment freezes the builder into a columnar segment. Missing rows are
 // an error: a sealed segment must cover the whole sweep, or queries
-// would silently under-aggregate.
+// would silently under-aggregate. Each column is sized once and filled
+// in one pass; dictionaries intern in row order, so a value's id is the
+// row order of its first occurrence.
 func (b *Builder) Segment() (*Segment, error) {
 	if !b.Complete() {
 		return nil, fmt.Errorf("warehouse: sweep %s: %d of %d rows missing",
 			b.sweepID, len(b.rows)-b.n, len(b.rows))
 	}
-	s := &Segment{
-		Sweep: b.sweepID, Name: b.name, Tenant: b.tenant, N: len(b.rows),
-		dicts: map[string][]string{}, str: map[string][]uint32{},
-		u64: map[string][]uint64{}, f64: map[string][]float64{}, u32: map[string][]uint32{},
-	}
-	interned := map[string]map[string]uint32{}
-	intern := func(col, v string) uint32 {
-		m := interned[col]
-		if m == nil {
-			m = map[string]uint32{}
-			interned[col] = m
-		}
-		id, ok := m[v]
-		if !ok {
-			id = uint32(len(s.dicts[col]))
-			s.dicts[col] = append(s.dicts[col], v)
-			m[v] = id
-		}
-		return id
-	}
 	for i := range b.rows {
-		row, meta := b.rows[i], b.metas[i]
-		s.str["benchmark"] = append(s.str["benchmark"], intern("benchmark", row.Benchmark))
-		s.str["arch"] = append(s.str["arch"], intern("arch", row.Arch))
-		s.str["family"] = append(s.str["family"], intern("family", meta.Family))
-		s.str["caching"] = append(s.str["caching"], intern("caching", meta.Caching))
-		s.str["prefetch"] = append(s.str["prefetch"], intern("prefetch", meta.Prefetch))
-		s.u64["seed"] = append(s.u64["seed"], row.Seed)
-		s.u64["instructions"] = append(s.u64["instructions"], row.Instructions)
-		s.u64["cycles"] = append(s.u64["cycles"], row.Cycles)
-		s.f64["ipc"] = append(s.f64["ipc"], row.IPC)
-		s.f64["mispredict_rate"] = append(s.f64["mispredict_rate"], row.MispredRate)
-		s.f64["icache_miss_rate"] = append(s.f64["icache_miss_rate"], row.ICacheMiss)
-		s.f64["dcache_miss_rate"] = append(s.f64["dcache_miss_rate"], row.DCacheMiss)
-		s.f64["area"] = append(s.f64["area"], meta.Area)
-		s.u32["read_ports"] = append(s.u32["read_ports"], uint32(meta.ReadPorts))
-		s.u32["write_ports"] = append(s.u32["write_ports"], uint32(meta.WritePorts))
-		s.u32["buses"] = append(s.u32["buses"], uint32(meta.Buses))
-		s.u32["upper_sizes"] = append(s.u32["upper_sizes"], uint32(meta.UpperSizes))
-		s.u32["banks"] = append(s.u32["banks"], uint32(meta.Banks))
-		s.u32["clusters"] = append(s.u32["clusters"], uint32(meta.Clusters))
-		s.u32["phys_regs"] = append(s.u32["phys_regs"], uint32(meta.PhysRegs))
-		s.fp = append(s.fp, meta.FP)
-		if len(row.Key) != keyHexLen {
+		if len(b.rows[i].Key) != keyHexLen {
 			return nil, fmt.Errorf("warehouse: sweep %s row %d: key %q is not %d hex chars",
-				b.sweepID, i, row.Key, keyHexLen)
+				b.sweepID, i, b.rows[i].Key, keyHexLen)
 		}
-		s.keys = append(s.keys, row.Key)
+	}
+	n := len(b.rows)
+	s := &Segment{
+		Sweep: b.sweepID, Name: b.name, Tenant: b.tenant, N: n,
+		dicts: make(map[string][]string, len(dictCols)), str: make(map[string][]uint32, len(dictCols)),
+		u64: make(map[string][]uint64, len(u64Cols)), f64: make(map[string][]float64, len(f64Cols)),
+		u32: make(map[string][]uint32, len(u32Cols)),
+		fp:  make([]bool, n), keys: make([]string, n),
+	}
+	ids := map[string]uint32{}
+	dict := func(col string, get func(i int) string) {
+		clear(ids)
+		vals := make([]uint32, n)
+		var d []string
+		for i := range vals {
+			v := get(i)
+			id, ok := ids[v]
+			if !ok {
+				id = uint32(len(d))
+				d = append(d, v)
+				ids[v] = id
+			}
+			vals[i] = id
+		}
+		if d != nil { // an empty sweep's footer keeps "dicts":{}
+			s.dicts[col] = d
+		}
+		s.str[col] = vals
+	}
+	u64 := func(col string, get func(i int) uint64) {
+		vals := make([]uint64, n)
+		for i := range vals {
+			vals[i] = get(i)
+		}
+		s.u64[col] = vals
+	}
+	f64 := func(col string, get func(i int) float64) {
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = get(i)
+		}
+		s.f64[col] = vals
+	}
+	u32 := func(col string, get func(i int) int) {
+		vals := make([]uint32, n)
+		for i := range vals {
+			vals[i] = uint32(get(i))
+		}
+		s.u32[col] = vals
+	}
+	rows, metas := b.rows, b.metas
+	dict("benchmark", func(i int) string { return rows[i].Benchmark })
+	dict("arch", func(i int) string { return rows[i].Arch })
+	dict("family", func(i int) string { return metas[i].Family })
+	dict("caching", func(i int) string { return metas[i].Caching })
+	dict("prefetch", func(i int) string { return metas[i].Prefetch })
+	u64("seed", func(i int) uint64 { return rows[i].Seed })
+	u64("instructions", func(i int) uint64 { return rows[i].Instructions })
+	u64("cycles", func(i int) uint64 { return rows[i].Cycles })
+	f64("ipc", func(i int) float64 { return rows[i].IPC })
+	f64("mispredict_rate", func(i int) float64 { return rows[i].MispredRate })
+	f64("icache_miss_rate", func(i int) float64 { return rows[i].ICacheMiss })
+	f64("dcache_miss_rate", func(i int) float64 { return rows[i].DCacheMiss })
+	f64("area", func(i int) float64 { return metas[i].Area })
+	u32("read_ports", func(i int) int { return metas[i].ReadPorts })
+	u32("write_ports", func(i int) int { return metas[i].WritePorts })
+	u32("buses", func(i int) int { return metas[i].Buses })
+	u32("upper_sizes", func(i int) int { return metas[i].UpperSizes })
+	u32("banks", func(i int) int { return metas[i].Banks })
+	u32("clusters", func(i int) int { return metas[i].Clusters })
+	u32("phys_regs", func(i int) int { return metas[i].PhysRegs })
+	for i := range rows {
+		s.fp[i] = metas[i].FP
+		s.keys[i] = rows[i].Key
 	}
 	return s, nil
 }
@@ -168,90 +201,63 @@ type segFooter struct {
 	CRC    uint32              `json:"crc"`
 }
 
-// encode renders the segment in the on-disk layout.
+// encode renders the segment in the on-disk layout, writing the column
+// data straight into an output buffer sized for it.
 func (s *Segment) encode() []byte {
-	var data bytes.Buffer
 	le := binary.LittleEndian
-	var b8 [8]byte
+	footCap := 256
+	for _, d := range s.dicts {
+		for _, v := range d {
+			footCap += len(v) + 3
+		}
+	}
+	out := make([]byte, 0, len(segMagic)+s.N*rowBytes+footCap+8)
+	out = append(out, segMagic...)
 	for _, col := range dictCols {
 		for _, v := range s.str[col] {
-			le.PutUint32(b8[:4], v)
-			data.Write(b8[:4])
+			out = le.AppendUint32(out, v)
 		}
 	}
 	for _, col := range u64Cols {
 		for _, v := range s.u64[col] {
-			le.PutUint64(b8[:], v)
-			data.Write(b8[:])
+			out = le.AppendUint64(out, v)
 		}
 	}
 	for _, col := range f64Cols {
 		for _, v := range s.f64[col] {
-			le.PutUint64(b8[:], math.Float64bits(v))
-			data.Write(b8[:])
+			out = le.AppendUint64(out, math.Float64bits(v))
 		}
 	}
 	for _, col := range u32Cols {
 		for _, v := range s.u32[col] {
-			le.PutUint32(b8[:4], v)
-			data.Write(b8[:4])
+			out = le.AppendUint32(out, v)
 		}
 	}
 	for _, v := range s.fp {
 		if v {
-			data.WriteByte(1)
+			out = append(out, 1)
 		} else {
-			data.WriteByte(0)
+			out = append(out, 0)
 		}
 	}
 	for _, k := range s.keys {
-		data.WriteString(k)
+		out = append(out, k...)
 	}
 
 	foot, err := json.Marshal(segFooter{
 		Schema: segSchema, Sweep: s.Sweep, Name: s.Name, Tenant: s.Tenant,
-		Rows: s.N, Dicts: s.dicts, CRC: crc32.ChecksumIEEE(data.Bytes()),
+		Rows: s.N, Dicts: s.dicts, CRC: crc32.ChecksumIEEE(out[len(segMagic):]),
 	})
 	if err != nil {
 		// The footer is plain exported data; Marshal cannot fail on it.
 		panic(fmt.Sprintf("warehouse: unencodable footer: %v", err))
 	}
-	out := make([]byte, 0, 4+data.Len()+len(foot)+8)
-	out = append(out, segMagic...)
-	out = append(out, data.Bytes()...)
 	out = append(out, foot...)
-	le.PutUint32(b8[:4], uint32(len(foot)))
-	out = append(out, b8[:4]...)
-	out = append(out, segTrail...)
-	return out
+	out = le.AppendUint32(out, uint32(len(foot)))
+	return append(out, segTrail...)
 }
 
-// writeSegData persists one encoded segment atomically (tmp + rename)
-// under dir.
-func writeSegData(dir, sweepID string, data []byte) error {
-	tmp, err := os.CreateTemp(dir, ".seg-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(dir, segFileName(sweepID)))
-}
-
-// segFileName maps a sweep id to its segment file name.
-func segFileName(sweepID string) string { return sweepID + ".seg" }
-
-// decodeSegment parses one segment file's bytes, verifying framing,
+// decodeSegment parses one encoded segment, verifying framing,
 // checksum and dictionary references. Any inconsistency is an error:
 // the warehouse treats a bad segment as absent and rebuilds it from the
 // store rather than serving corrupt aggregates.
@@ -273,13 +279,12 @@ func decodeSegment(data []byte) (*Segment, error) {
 		return nil, fmt.Errorf("warehouse: segment schema %d not supported", foot.Schema)
 	}
 	n := foot.Rows
-	if n < 0 {
-		return nil, fmt.Errorf("warehouse: negative row count %d", n)
-	}
 	body := data[4 : footEnd-footLen]
-	want := n * (4*len(dictCols) + 8*len(u64Cols) + 8*len(f64Cols) + 4*len(u32Cols) + 1 + keyHexLen)
-	if len(body) != want {
-		return nil, fmt.Errorf("warehouse: segment body is %d bytes, want %d for %d rows", len(body), want, n)
+	// Bound n before multiplying: a crafted row count must not overflow
+	// into a length that matches the body.
+	if n < 0 || n > len(body)/rowBytes || n*rowBytes != len(body) {
+		return nil, fmt.Errorf("warehouse: segment body is %d bytes, which does not hold %d rows of %d bytes",
+			len(body), n, rowBytes)
 	}
 	if crc := crc32.ChecksumIEEE(body); crc != foot.CRC {
 		return nil, fmt.Errorf("warehouse: segment checksum mismatch")
@@ -333,10 +338,11 @@ func decodeSegment(data []byte) (*Segment, error) {
 		s.fp[i] = body[off] != 0
 		off++
 	}
+	// One string backs every key: a segment's keys live and die together.
+	keys := string(body[off:])
 	s.keys = make([]string, n)
 	for i := range s.keys {
-		s.keys[i] = string(body[off : off+keyHexLen])
-		off += keyHexLen
+		s.keys[i] = keys[i*keyHexLen : (i+1)*keyHexLen]
 	}
 	return s, nil
 }

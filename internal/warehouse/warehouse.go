@@ -7,8 +7,16 @@
 // columns dictionary-encoded and a JSON footer schema (segment.go).
 // Rows are ingested at row-publish time through a seam next to the
 // write-ahead journal hook in internal/server, ordered by job index —
-// never by completion order — and sealed to disk when the sweep
-// finishes.
+// never by completion order — and sealed when the sweep finishes.
+//
+// Sealed segments persist as records of one append-only log
+// (internal/wal) in the warehouse directory. A record is either a
+// segment's encoding or a drop record (dropMagic, then the sweep id)
+// written when a reused sweep id retires the old segment. Open replays
+// the records in order: a later segment for a sweep id replaces the
+// earlier one and a drop removes it. The bytes of replaced and dropped
+// records are dead; when Open finds more dead bytes than live ones, it
+// compacts the log down to a snapshot of the live segments.
 //
 // The warehouse is never authoritative: every column is a pure function
 // of (job, result), both recoverable from the content-addressed store,
@@ -19,9 +27,10 @@
 package warehouse
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
-	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -31,8 +40,13 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/sweep"
+	"repro/internal/wal"
 	"repro/rf/api"
 )
+
+// dropMagic opens a drop record. It differs from segMagic, so a drop
+// record never decodes as a segment.
+const dropMagic = "RFD1"
 
 // Options configures Open.
 type Options struct {
@@ -58,11 +72,10 @@ type Stats struct {
 	IngestErrors uint64
 }
 
-// Warehouse owns a directory of sealed segments plus the in-memory
-// builders of still-running sweeps. All methods are safe for concurrent
-// use.
+// Warehouse owns the log of sealed segments plus the in-memory builders
+// of still-running sweeps. All methods are safe for concurrent use.
 type Warehouse struct {
-	dir  string
+	log  *wal.WAL
 	logf func(string, ...any)
 
 	mu       sync.Mutex
@@ -76,44 +89,117 @@ type Warehouse struct {
 	ingestErrors atomic.Uint64
 }
 
-// Open loads every readable segment under dir, creating it if needed.
-// Unreadable or corrupt segment files are skipped with a log line — the
-// server rebuilds them from the store — so one bad file never blocks
-// startup.
+// Open replays the segment log under dir, creating the directory if
+// needed. A record that does not decode is skipped with a log line — the
+// server rebuilds its sweep from the store — so one bad record never
+// blocks startup. Segment files of the old one-file-per-sweep layout
+// (*.seg) are not read; they are counted in one log line and left in
+// place.
 func Open(dir string, opts Options) (*Warehouse, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	log, err := wal.Open(dir, wal.Options{SyncInterval: -1}) // Seal syncs
+	if err != nil {
 		return nil, fmt.Errorf("warehouse: %w", err)
 	}
 	w := &Warehouse{
-		dir:      dir,
+		log:      log,
 		logf:     opts.Logf,
 		builders: map[string]*Builder{},
 	}
 	if w.logf == nil {
 		w.logf = func(string, ...any) {}
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("warehouse: %w", err)
+	// A listing error only costs the notice: wal.Open has just read dir.
+	if entries, err := os.ReadDir(dir); err == nil {
+		old := 0
+		for _, e := range entries {
+			if !e.IsDir() && strings.HasSuffix(e.Name(), ".seg") {
+				old++
+			}
+		}
+		if old > 0 {
+			w.logf("warehouse: ignoring %d segment files of the old one-file-per-sweep layout in %s", old, dir)
+		}
 	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".seg") {
-			continue
-		}
-		path := filepath.Join(dir, e.Name())
-		data, err := os.ReadFile(path)
-		if err != nil {
-			w.logf("warehouse: skipping %s: %v", e.Name(), err)
-			continue
-		}
-		seg, err := decodeSegment(data)
-		if err != nil || segFileName(seg.Sweep) != e.Name() {
-			w.logf("warehouse: skipping %s: %v", e.Name(), err)
-			continue
-		}
-		w.put(seg)
+	if err := w.load(); err != nil {
+		log.Close()
+		return nil, err
 	}
 	return w, nil
+}
+
+// load replays the log into memory — the compaction snapshot's segments,
+// then every record after it in append order — and compacts the log
+// when dead bytes outnumber live ones.
+func (w *Warehouse) load() error {
+	var total int64 // bytes of every replayed record, live or dead
+	apply := func(rec []byte) error {
+		total += int64(len(rec))
+		seg, drop, err := decodeRecord(rec)
+		switch {
+		case err != nil:
+			return err
+		case seg != nil:
+			w.put(seg)
+		default:
+			w.remove(drop)
+		}
+		return nil
+	}
+	if snap, _, ok := w.log.Snapshot(); ok {
+		for i := 1; len(snap) > 0; i++ {
+			if len(snap) < 4 || int(binary.LittleEndian.Uint32(snap)) > len(snap)-4 {
+				w.logf("warehouse: skipping a torn snapshot tail of %d bytes", len(snap))
+				break
+			}
+			n := int(binary.LittleEndian.Uint32(snap))
+			if err := apply(snap[4 : 4+n]); err != nil {
+				w.logf("warehouse: skipping snapshot record %d: %v", i, err)
+			}
+			snap = snap[4+n:]
+		}
+	}
+	err := w.log.Replay(func(idx uint64, rec []byte) error {
+		if err := apply(rec); err != nil {
+			w.logf("warehouse: skipping log record %d: %v", idx, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("warehouse: %w", err)
+	}
+	if total-w.bytes > w.bytes {
+		if err := w.compact(); err != nil {
+			w.logf("warehouse: compacting the log: %v", err)
+		}
+	}
+	return nil
+}
+
+// dropRecord encodes the record that retires sweepID's segment.
+func dropRecord(sweepID string) []byte {
+	return append([]byte(dropMagic), sweepID...)
+}
+
+// decodeRecord parses one log record: a segment, or a drop record
+// naming the sweep id whose segment it retires.
+func decodeRecord(rec []byte) (seg *Segment, drop string, err error) {
+	if id, ok := bytes.CutPrefix(rec, []byte(dropMagic)); ok {
+		return nil, string(id), nil
+	}
+	seg, err = decodeSegment(rec)
+	return seg, "", err
+}
+
+// compact replaces the log with a snapshot of the live segments, each
+// length-prefixed (u32 LE) and in sweep-id order.
+func (w *Warehouse) compact() error {
+	snap := make([]byte, 0, w.bytes+4*int64(len(w.segs)))
+	for _, seg := range w.segs {
+		data := seg.encode()
+		snap = binary.LittleEndian.AppendUint32(snap, uint32(len(data)))
+		snap = append(snap, data...)
+	}
+	return w.log.Compact(snap)
 }
 
 // idLess orders sweep ids: shorter first, then lexicographic, so
@@ -160,14 +246,17 @@ func (w *Warehouse) remove(sweepID string) bool {
 }
 
 // Begin opens a builder for a newly admitted sweep of jobs rows. Any
-// sealed segment already carrying this sweep id is dropped: on a
+// sealed segment already carrying this sweep id is dropped, and a drop
+// record is logged so a restart does not bring it back: on a
 // journal-less server, sweep ids restart from zero, so an id collision
 // means the old segment describes a dead identity.
 func (w *Warehouse) Begin(sweepID, name, tenant string, jobs int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.remove(sweepID) {
-		os.Remove(filepath.Join(w.dir, segFileName(sweepID)))
+		if _, err := w.log.Append(dropRecord(sweepID)); err != nil {
+			w.logf("warehouse: logging the drop of sweep %s: %v", sweepID, err)
+		}
 	}
 	w.builders[sweepID] = NewBuilder(sweepID, name, tenant, jobs)
 }
@@ -194,9 +283,9 @@ func (w *Warehouse) Add(sweepID string, idx int, j sweep.Job, row sweep.Row) {
 }
 
 // Seal freezes a finished sweep's builder into a segment and persists
-// it. Sealing a sweep with no open builder is a no-op. An incomplete
-// builder is an ingest error: the sweep stays unindexed rather than
-// serving partial aggregates.
+// it, returning once the segment is durable. Sealing a sweep with no
+// open builder is a no-op. An incomplete builder is an ingest error: the
+// sweep stays unindexed rather than serving partial aggregates.
 func (w *Warehouse) Seal(sweepID string) error {
 	w.mu.Lock()
 	b := w.builders[sweepID]
@@ -208,7 +297,9 @@ func (w *Warehouse) Seal(sweepID string) error {
 	return w.install(b)
 }
 
-// install freezes a builder, persists the segment, and registers it.
+// install freezes a builder, logs the segment, registers it, and syncs
+// the log. The append and the registration share w.mu, so the log holds
+// segments in the order memory saw them; the fsync runs outside it.
 func (w *Warehouse) install(b *Builder) error {
 	seg, err := b.Segment()
 	if err != nil {
@@ -218,15 +309,19 @@ func (w *Warehouse) install(b *Builder) error {
 	}
 	data := seg.encode()
 	seg.size = len(data)
-	if err := writeSegData(w.dir, seg.Sweep, data); err != nil {
+	w.mu.Lock()
+	_, err = w.log.Append(data)
+	w.put(seg)
+	w.mu.Unlock()
+	if err == nil {
+		err = w.log.Sync()
+	}
+	if err != nil {
 		// Serve the segment from memory anyway: queries stay correct this
 		// process lifetime, and the next restart rebuilds from the store.
 		w.ingestErrors.Add(1)
 		w.logf("warehouse: persisting sweep %s: %v", seg.Sweep, err)
 	}
-	w.mu.Lock()
-	w.put(seg)
-	w.mu.Unlock()
 	return nil
 }
 
@@ -315,6 +410,12 @@ func (w *Warehouse) Query(q *api.Query, owner string, tenanted bool) (*api.Query
 	w.queries.Add(1)
 	w.queryNanos.Add(int64(time.Since(start)))
 	return res, err
+}
+
+// Close closes the log. Segments sealed after Close are served from
+// memory only and counted as ingest errors.
+func (w *Warehouse) Close() error {
+	return w.log.Close()
 }
 
 // Stats snapshots the warehouse counters.

@@ -1,16 +1,20 @@
 package warehouse
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/sim"
 	"repro/internal/sweep"
+	"repro/internal/wal"
 	"repro/rf/api"
 )
 
@@ -76,6 +80,62 @@ func buildSegment(t testing.TB, sweepID, tenant string, jobs []sweep.Job, rows [
 	return seg
 }
 
+// newWarehouse opens a warehouse on dir and closes it when the test
+// ends.
+func newWarehouse(t testing.TB, dir string, opts Options) *Warehouse {
+	t.Helper()
+	w, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	return w
+}
+
+// sealRows runs one sweep of jobs through Begin, Add and Seal.
+func sealRows(t testing.TB, w *Warehouse, id, tenant string, jobs []sweep.Job, rows []sweep.Row) {
+	t.Helper()
+	w.Begin(id, "wh-test", tenant, len(jobs))
+	for i := range jobs {
+		w.Add(id, i, jobs[i], rows[i])
+	}
+	if err := w.Seal(id); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// logLines collects a warehouse's log lines.
+type logLines struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *logLines) logf(format string, args ...any) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+}
+
+// dirBytes sums the sizes of the regular files in dir.
+func dirBytes(t testing.TB, dir string) int64 {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Mode().IsRegular() {
+			n += info.Size()
+		}
+	}
+	return n
+}
+
 // evalJSON canonicalizes a query evaluation for byte comparison.
 func evalJSON(t testing.TB, segs []*Segment, q *api.Query) string {
 	t.Helper()
@@ -123,41 +183,133 @@ func TestSegmentRoundtrip(t *testing.T) {
 	}
 }
 
-func TestOpenSkipsBadSegmentFiles(t *testing.T) {
+// TestDecodeSegmentRejectsRowOverflow pins the row-count bound: a footer
+// whose row count times the row width overflows to the body length must
+// be rejected, not allocate columns of that many rows.
+func TestDecodeSegmentRejectsRowOverflow(t *testing.T) {
+	if _, err := decodeSegment(overflowSegment()); err == nil {
+		t.Fatal("decodeSegment accepted a row count that overflows the body length")
+	}
+}
+
+// overflowSegment is a one-byte body under a footer claiming
+// 4898287974374852689 rows: that count times the 177-byte row width
+// wraps around to 1.
+func overflowSegment() []byte {
+	body := []byte{0}
+	foot := fmt.Sprintf(`{"schema":1,"sweep":"s000001","rows":4898287974374852689,"dicts":{},"crc":%d}`,
+		crc32.ChecksumIEEE(body))
+	data := append([]byte(segMagic), body...)
+	data = append(data, foot...)
+	data = binary.LittleEndian.AppendUint32(data, uint32(len(foot)))
+	return append(data, segTrail...)
+}
+
+// TestOpenSkipsCorruptRecords writes a log whose records are framed
+// correctly but do not all decode: a segment whose column data fails
+// its CRC, and bytes that are no segment at all. Open must skip and log
+// each, and load every good segment around them.
+func TestOpenSkipsCorruptRecords(t *testing.T) {
 	dir := t.TempDir()
 	jobs, rows := testJobsRows(t)
-	seg := buildSegment(t, "s000001", "", jobs, rows)
-	if err := writeSegData(dir, seg.Sweep, seg.encode()); err != nil {
-		t.Fatal(err)
-	}
-	// Garbage bytes, and a valid segment stored under the wrong name.
-	if err := os.WriteFile(filepath.Join(dir, "s000002.seg"), []byte("not a segment"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	mis := buildSegment(t, "s000003", "", jobs, rows)
-	if err := os.WriteFile(filepath.Join(dir, "s000009.seg"), mis.encode(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	w, err := Open(dir, Options{})
+	bad := buildSegment(t, "s000002", "", jobs, rows).encode()
+	bad[10] ^= 0xff
+	log, err := wal.Open(dir, wal.Options{SyncInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := w.Stats()
-	if st.Segments != 1 || st.Rows != len(jobs) {
-		t.Fatalf("Open loaded %d segments / %d rows, want 1 / %d", st.Segments, st.Rows, len(jobs))
+	for _, rec := range [][]byte{
+		buildSegment(t, "s000001", "", jobs, rows).encode(),
+		bad,
+		[]byte("not a segment"),
+		buildSegment(t, "s000003", "", jobs, rows).encode(),
+	} {
+		if _, err := log.Append(rec); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !w.Has("s000001") || w.Has("s000003") {
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs logLines
+	w := newWarehouse(t, dir, Options{Logf: logs.logf})
+	st := w.Stats()
+	if st.Segments != 2 || st.Rows != 2*len(jobs) {
+		t.Fatalf("Open loaded %d segments / %d rows, want 2 / %d", st.Segments, st.Rows, 2*len(jobs))
+	}
+	if !w.Has("s000001") || w.Has("s000002") || !w.Has("s000003") {
 		t.Error("Open kept the wrong segments")
+	}
+	if len(logs.lines) != 2 || !strings.Contains(logs.lines[0], "checksum") {
+		t.Errorf("Open logged %q, want one line per skipped record, the first a checksum mismatch", logs.lines)
+	}
+}
+
+// TestOpenIgnoresSegmentFiles opens a directory of the old layout, one
+// *.seg file per sweep: none is read, and one line counts them.
+func TestOpenIgnoresSegmentFiles(t *testing.T) {
+	dir := t.TempDir()
+	jobs, rows := testJobsRows(t)
+	for _, id := range []string{"s000001", "s000002", "s000003"} {
+		data := buildSegment(t, id, "", jobs, rows).encode()
+		if err := os.WriteFile(filepath.Join(dir, id+".seg"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var logs logLines
+	w := newWarehouse(t, dir, Options{Logf: logs.logf})
+	if st := w.Stats(); st.Segments != 0 || st.Rows != 0 {
+		t.Errorf("Open loaded %d segments / %d rows from *.seg files, want none", st.Segments, st.Rows)
+	}
+	if len(logs.lines) != 1 || !strings.Contains(logs.lines[0], "3 segment files") {
+		t.Errorf("Open logged %q, want one line counting 3 segment files", logs.lines)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "s000001.seg")); err != nil {
+		t.Errorf("Open did not leave the old files in place: %v", err)
+	}
+}
+
+// TestLogCompactsReusedIDs reuses every sweep id of a journal-less
+// server across many restarts. Each reuse leaves a replaced segment and
+// a drop record behind as dead bytes, so without compaction the log
+// would grow with every restart; with it, the directory stays within
+// twice the live segment bytes plus one WAL segment.
+func TestLogCompactsReusedIDs(t *testing.T) {
+	const (
+		sweeps          = 10
+		restarts        = 40
+		walSegmentBytes = 4 << 20 // internal/wal's default rotation size
+	)
+	dir := t.TempDir()
+	jobs, rows := specJobsRows(t, gridSpecJSON, 0)
+	var written int64
+	for r := 0; r < restarts; r++ {
+		w := newWarehouse(t, dir, Options{})
+		st := w.Stats()
+		if r > 0 && (st.Segments != sweeps || st.Rows != sweeps*len(jobs)) {
+			t.Fatalf("restart %d: %d segments / %d rows, want %d / %d",
+				r, st.Segments, st.Rows, sweeps, sweeps*len(jobs))
+		}
+		if got, limit := dirBytes(t, dir), 2*st.Bytes+walSegmentBytes; got > limit {
+			t.Fatalf("restart %d: log is %d bytes, limit %d (live %d)", r, got, limit, st.Bytes)
+		}
+		for i := 1; i <= sweeps; i++ {
+			sealRows(t, w, fmt.Sprintf("s%06d", i), "", jobs, rows)
+		}
+		written += w.Stats().Bytes
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if limit := 2*written/restarts + walSegmentBytes; written <= limit {
+		t.Fatalf("the test wrote %d bytes, within the %d limit even without compaction", written, limit)
 	}
 }
 
 func TestSealRequiresCompleteBuilder(t *testing.T) {
 	jobs, rows := testJobsRows(t)
-	w, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newWarehouse(t, t.TempDir(), Options{})
 	w.Begin("s000001", "wh-test", "", len(jobs))
 	w.Add("s000001", 0, jobs[0], rows[0])
 	if err := w.Seal("s000001"); err == nil {
@@ -173,6 +325,29 @@ func TestSealRequiresCompleteBuilder(t *testing.T) {
 	w.Add("s999999", 0, jobs[0], rows[0])
 	if got := w.Stats().IngestErrors; got != 2 {
 		t.Errorf("IngestErrors = %d, want 2", got)
+	}
+}
+
+// TestSealUnloggedServesFromMemory pins the failed-append path: a
+// segment the log refuses (here, because it is closed) is still served
+// from memory and counted as an ingest error, and a restart does not
+// find it.
+func TestSealUnloggedServesFromMemory(t *testing.T) {
+	dir := t.TempDir()
+	jobs, rows := testJobsRows(t)
+	w := newWarehouse(t, dir, Options{})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sealRows(t, w, "s000001", "", jobs, rows)
+	if !w.Has("s000001") {
+		t.Error("an unlogged segment is not served from memory")
+	}
+	if got := w.Stats().IngestErrors; got != 1 {
+		t.Errorf("IngestErrors = %d, want 1", got)
+	}
+	if newWarehouse(t, dir, Options{}).Has("s000001") {
+		t.Error("a restart found a segment the log refused")
 	}
 }
 
@@ -419,10 +594,7 @@ func TestEvalSeriesAndFrontier(t *testing.T) {
 func TestWarehouseLifecycleAndTenancy(t *testing.T) {
 	dir := t.TempDir()
 	jobs, rows := testJobsRows(t)
-	w, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newWarehouse(t, dir, Options{})
 	w.Begin("s000001", "wh-test", "acme", len(jobs))
 	for i := range jobs {
 		w.Add("s000001", i, jobs[i], rows[i])
@@ -461,22 +633,31 @@ func TestWarehouseLifecycleAndTenancy(t *testing.T) {
 		t.Errorf("Stats = %+v", st)
 	}
 
-	// A restart loads the sealed segment back from disk.
-	w2, err := Open(dir, Options{})
-	if err != nil {
+	// A restart loads the sealed segment back from the log.
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	w2 := newWarehouse(t, dir, Options{})
 	if !w2.Has("s000001") {
 		t.Fatal("reopened warehouse lost the segment")
 	}
 	// Reusing the sweep id (journal-less server restart) drops the stale
-	// sealed segment immediately.
+	// sealed segment immediately, and for good: the reused sweep is
+	// canceled, and the next restart must not bring the old one back.
 	w2.Begin("s000001", "other", "", len(jobs))
 	if w2.Has("s000001") {
 		t.Error("Begin kept a stale segment under a reused sweep id")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "s000001.seg")); !os.IsNotExist(err) {
-		t.Error("Begin left the stale segment file on disk")
+	w2.Discard("s000001")
+	if err := w2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w3 := newWarehouse(t, dir, Options{})
+	if w3.Has("s000001") {
+		t.Error("a reopened warehouse brought back the segment Begin dropped")
+	}
+	if st := w3.Stats(); st.Segments != 0 || st.Rows != 0 {
+		t.Errorf("reopened after the drop: Stats = %+v, want no segments", st)
 	}
 }
 
@@ -488,10 +669,7 @@ func TestWarehouseLifecycleAndTenancy(t *testing.T) {
 func TestSegmentOrderAcrossIDWidth(t *testing.T) {
 	dir := t.TempDir()
 	jobs, rows := testJobsRows(t)
-	w, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newWarehouse(t, dir, Options{})
 	seal := func(id string) {
 		t.Helper()
 		w.Begin(id, "wh-test", "", len(jobs))
@@ -537,10 +715,10 @@ func TestSegmentOrderAcrossIDWidth(t *testing.T) {
 		t.Errorf("after drop: Stats = %d segments / %d rows, want 4 / %d", st.Segments, st.Rows, 4*len(jobs))
 	}
 
-	w2, err := Open(dir, Options{})
-	if err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	w2 := newWarehouse(t, dir, Options{})
 	if got := order(w2); !reflect.DeepEqual(got, want) {
 		t.Fatalf("reopened: scan order %v, want %v", got, want)
 	}
@@ -551,10 +729,7 @@ func TestSegmentOrderAcrossIDWidth(t *testing.T) {
 
 func TestRebuildSweepMatchesIngest(t *testing.T) {
 	jobs, rows := testJobsRows(t)
-	live, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	live := newWarehouse(t, t.TempDir(), Options{})
 	live.Begin("s000001", "wh-test", "", len(jobs))
 	for i := range jobs {
 		live.Add("s000001", i, jobs[i], rows[i])
@@ -573,10 +748,7 @@ func TestRebuildSweepMatchesIngest(t *testing.T) {
 		}
 	}
 	get := func(k sweep.Key) (sim.Result, bool) { r, ok := byKey[k]; return r, ok }
-	rebuilt, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rebuilt := newWarehouse(t, t.TempDir(), Options{})
 	if err := rebuilt.RebuildSweep("s000001", "wh-test", "", jobs, nil, get); err != nil {
 		t.Fatal(err)
 	}
@@ -604,10 +776,7 @@ func TestRebuildSweepMatchesIngest(t *testing.T) {
 
 	// A job missing from both store and journal must fail the rebuild.
 	delete(byKey, jobs[3].Key())
-	empty, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	empty := newWarehouse(t, t.TempDir(), Options{})
 	if err := empty.RebuildSweep("s000002", "wh-test", "", jobs, nil, get); err == nil {
 		t.Error("RebuildSweep succeeded with a missing result")
 	}
@@ -647,10 +816,7 @@ func TestSegmentFromRows(t *testing.T) {
 // Discard: no builder may outlive its sweep.
 func TestBuildersReleasedAfterChurn(t *testing.T) {
 	jobs, rows := testJobsRows(t)
-	w, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newWarehouse(t, t.TempDir(), Options{})
 	const sweeps = 300
 	for n := 0; n < sweeps; n++ {
 		id := fmt.Sprintf("s%06d", n)
