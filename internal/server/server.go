@@ -106,10 +106,10 @@ type Config struct {
 	// Warehouse, when non-nil, maintains the columnar result index:
 	// completed rows are ingested as they publish (next to the journal
 	// hook), a sweep's segment seals before its state turns done, and
-	// GET/POST /v1/query is mounted over it. Nil (the default) keeps the wire surface and
-	// behavior byte-identical to pre-warehouse builds. Sweeps recovered
-	// from the journal as already-done are rebuilt into segments from
-	// the content-addressed store at startup.
+	// GET/POST /v1/query is mounted over it. Nil (the default) keeps the
+	// wire surface and behavior byte-identical to pre-warehouse builds.
+	// Sweeps recovered from the journal as already-done are rebuilt into
+	// segments from the content-addressed store at startup.
 	Warehouse *warehouse.Warehouse
 	// Journal, when non-nil, makes sweeps durable: accepted specs,
 	// completed rows and terminal states are appended to this WAL, and a

@@ -114,19 +114,39 @@ func (b *Builder) Segment() (*Segment, error) {
 		}
 	}
 	n := len(b.rows)
+	rows, metas := b.rows, b.metas
 	s := &Segment{
 		Sweep: b.sweepID, Name: b.name, Tenant: b.tenant, N: n,
 		dicts: make(map[string][]string, len(dictCols)), str: make(map[string][]uint32, len(dictCols)),
-		u64: make(map[string][]uint64, len(u64Cols)), f64: make(map[string][]float64, len(f64Cols)),
-		u32: make(map[string][]uint32, len(u32Cols)),
-		fp:  make([]bool, n), keys: make([]string, n),
+		u64: map[string][]uint64{
+			"seed":         column(n, func(i int) uint64 { return rows[i].Seed }),
+			"instructions": column(n, func(i int) uint64 { return rows[i].Instructions }),
+			"cycles":       column(n, func(i int) uint64 { return rows[i].Cycles }),
+		},
+		f64: map[string][]float64{
+			"ipc":              column(n, func(i int) float64 { return rows[i].IPC }),
+			"mispredict_rate":  column(n, func(i int) float64 { return rows[i].MispredRate }),
+			"icache_miss_rate": column(n, func(i int) float64 { return rows[i].ICacheMiss }),
+			"dcache_miss_rate": column(n, func(i int) float64 { return rows[i].DCacheMiss }),
+			"area":             column(n, func(i int) float64 { return metas[i].Area }),
+		},
+		u32: map[string][]uint32{
+			"read_ports":  column(n, func(i int) uint32 { return uint32(metas[i].ReadPorts) }),
+			"write_ports": column(n, func(i int) uint32 { return uint32(metas[i].WritePorts) }),
+			"buses":       column(n, func(i int) uint32 { return uint32(metas[i].Buses) }),
+			"upper_sizes": column(n, func(i int) uint32 { return uint32(metas[i].UpperSizes) }),
+			"banks":       column(n, func(i int) uint32 { return uint32(metas[i].Banks) }),
+			"clusters":    column(n, func(i int) uint32 { return uint32(metas[i].Clusters) }),
+			"phys_regs":   column(n, func(i int) uint32 { return uint32(metas[i].PhysRegs) }),
+		},
+		fp:   column(n, func(i int) bool { return metas[i].FP }),
+		keys: column(n, func(i int) string { return rows[i].Key }),
 	}
 	ids := map[string]uint32{}
 	dict := func(col string, get func(i int) string) {
 		clear(ids)
-		vals := make([]uint32, n)
 		var d []string
-		for i := range vals {
+		s.str[col] = column(n, func(i int) uint32 {
 			v := get(i)
 			id, ok := ids[v]
 			if !ok {
@@ -134,60 +154,27 @@ func (b *Builder) Segment() (*Segment, error) {
 				d = append(d, v)
 				ids[v] = id
 			}
-			vals[i] = id
-		}
+			return id
+		})
 		if d != nil { // an empty sweep's footer keeps "dicts":{}
 			s.dicts[col] = d
 		}
-		s.str[col] = vals
 	}
-	u64 := func(col string, get func(i int) uint64) {
-		vals := make([]uint64, n)
-		for i := range vals {
-			vals[i] = get(i)
-		}
-		s.u64[col] = vals
-	}
-	f64 := func(col string, get func(i int) float64) {
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = get(i)
-		}
-		s.f64[col] = vals
-	}
-	u32 := func(col string, get func(i int) int) {
-		vals := make([]uint32, n)
-		for i := range vals {
-			vals[i] = uint32(get(i))
-		}
-		s.u32[col] = vals
-	}
-	rows, metas := b.rows, b.metas
 	dict("benchmark", func(i int) string { return rows[i].Benchmark })
 	dict("arch", func(i int) string { return rows[i].Arch })
 	dict("family", func(i int) string { return metas[i].Family })
 	dict("caching", func(i int) string { return metas[i].Caching })
 	dict("prefetch", func(i int) string { return metas[i].Prefetch })
-	u64("seed", func(i int) uint64 { return rows[i].Seed })
-	u64("instructions", func(i int) uint64 { return rows[i].Instructions })
-	u64("cycles", func(i int) uint64 { return rows[i].Cycles })
-	f64("ipc", func(i int) float64 { return rows[i].IPC })
-	f64("mispredict_rate", func(i int) float64 { return rows[i].MispredRate })
-	f64("icache_miss_rate", func(i int) float64 { return rows[i].ICacheMiss })
-	f64("dcache_miss_rate", func(i int) float64 { return rows[i].DCacheMiss })
-	f64("area", func(i int) float64 { return metas[i].Area })
-	u32("read_ports", func(i int) int { return metas[i].ReadPorts })
-	u32("write_ports", func(i int) int { return metas[i].WritePorts })
-	u32("buses", func(i int) int { return metas[i].Buses })
-	u32("upper_sizes", func(i int) int { return metas[i].UpperSizes })
-	u32("banks", func(i int) int { return metas[i].Banks })
-	u32("clusters", func(i int) int { return metas[i].Clusters })
-	u32("phys_regs", func(i int) int { return metas[i].PhysRegs })
-	for i := range rows {
-		s.fp[i] = metas[i].FP
-		s.keys[i] = rows[i].Key
-	}
 	return s, nil
+}
+
+// column fills a column of n values in one pass.
+func column[T any](n int, get func(i int) T) []T {
+	vals := make([]T, n)
+	for i := range vals {
+		vals[i] = get(i)
+	}
+	return vals
 }
 
 // segFooter is the JSON trailer of a segment file.

@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -180,6 +181,17 @@ func TestSegmentRoundtrip(t *testing.T) {
 	data[10] ^= 0xff
 	if _, err := decodeSegment(data); err == nil {
 		t.Error("decodeSegment accepted corrupt column data")
+	}
+}
+
+// TestSegmentEncodingPinned pins the bytes of a Figure 6 grid segment.
+// Logs written by earlier builds hold segments in this encoding, and a
+// segment rebuilt from the store must match the one sealed live.
+func TestSegmentEncodingPinned(t *testing.T) {
+	jobs, rows := specJobsRows(t, gridSpecJSON, 1)
+	got := fmt.Sprintf("%x", sha256.Sum256(buildSegment(t, "s000001", "acme", jobs, rows).encode()))
+	if want := "d95afd003237e92fc8240425a2585593c78c1a5a6c160d6b43ba95d9a8ddbf4f"; got != want {
+		t.Errorf("grid segment sha256 = %s, want %s", got, want)
 	}
 }
 
@@ -595,13 +607,7 @@ func TestWarehouseLifecycleAndTenancy(t *testing.T) {
 	dir := t.TempDir()
 	jobs, rows := testJobsRows(t)
 	w := newWarehouse(t, dir, Options{})
-	w.Begin("s000001", "wh-test", "acme", len(jobs))
-	for i := range jobs {
-		w.Add("s000001", i, jobs[i], rows[i])
-	}
-	if err := w.Seal("s000001"); err != nil {
-		t.Fatal(err)
-	}
+	sealRows(t, w, "s000001", "acme", jobs, rows)
 	if !w.Has("s000001") {
 		t.Fatal("sealed sweep not indexed")
 	}
@@ -670,16 +676,6 @@ func TestSegmentOrderAcrossIDWidth(t *testing.T) {
 	dir := t.TempDir()
 	jobs, rows := testJobsRows(t)
 	w := newWarehouse(t, dir, Options{})
-	seal := func(id string) {
-		t.Helper()
-		w.Begin(id, "wh-test", "", len(jobs))
-		for i := range jobs {
-			w.Add(id, i, jobs[i], rows[i])
-		}
-		if err := w.Seal(id); err != nil {
-			t.Fatal(err)
-		}
-	}
 	order := func(w *Warehouse) []string {
 		t.Helper()
 		res, err := w.Query(&api.Query{Op: api.QueryOpRows, Limit: MaxLimit}, "", false)
@@ -695,9 +691,9 @@ func TestSegmentOrderAcrossIDWidth(t *testing.T) {
 		return ids
 	}
 	for _, id := range []string{"s1000000", "s000002", "s999999", "s1000001", "s000010"} {
-		seal(id)
+		sealRows(t, w, id, "", jobs, rows)
 	}
-	seal("s999999") // replaced in place
+	sealRows(t, w, "s999999", "", jobs, rows) // replaced in place
 	want := []string{"s000002", "s000010", "s999999", "s1000000", "s1000001"}
 	if got := order(w); !reflect.DeepEqual(got, want) {
 		t.Fatalf("scan order %v, want %v", got, want)
@@ -730,13 +726,7 @@ func TestSegmentOrderAcrossIDWidth(t *testing.T) {
 func TestRebuildSweepMatchesIngest(t *testing.T) {
 	jobs, rows := testJobsRows(t)
 	live := newWarehouse(t, t.TempDir(), Options{})
-	live.Begin("s000001", "wh-test", "", len(jobs))
-	for i := range jobs {
-		live.Add("s000001", i, jobs[i], rows[i])
-	}
-	if err := live.Seal("s000001"); err != nil {
-		t.Fatal(err)
-	}
+	sealRows(t, live, "s000001", "", jobs, rows)
 
 	// Rebuild the same sweep purely from a result "store".
 	byKey := map[sweep.Key]sim.Result{}
