@@ -177,7 +177,7 @@ func column[T any](n int, get func(i int) T) []T {
 	return vals
 }
 
-// segFooter is the JSON trailer of a segment file.
+// segFooter is the JSON trailer of an encoded segment.
 type segFooter struct {
 	Schema int                 `json:"schema"`
 	Sweep  string              `json:"sweep"`
@@ -188,11 +188,12 @@ type segFooter struct {
 	CRC    uint32              `json:"crc"`
 }
 
-// encode renders the segment in the on-disk layout, writing the column
-// data straight into an output buffer sized for it.
+// encode renders the segment as a log record, writing the column data
+// straight into an output buffer sized for it.
 func (s *Segment) encode() []byte {
 	le := binary.LittleEndian
-	footCap := 256
+	// An estimate of the footer: append grows out if it runs longer.
+	footCap := 256 + len(s.Sweep) + len(s.Name) + len(s.Tenant)
 	for _, d := range s.dicts {
 		for _, v := range d {
 			footCap += len(v) + 3
