@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// These tests cover the less-traveled paths: the many-bank slow path of
-// the one-level file, the generic File-interface fallbacks of the
+// These tests cover the less-traveled paths: a one-level file with many
+// banks, the generic File-interface fallbacks of the
 // cluster-aware organizations, and the diagnostic helpers.
 
 func TestOneLevelManyBanksSlowPath(t *testing.T) {
@@ -15,7 +15,7 @@ func TestOneLevelManyBanksSlowPath(t *testing.T) {
 	})
 	f.BeginCycle(10)
 	// Registers 0 and 16 share bank 0 under the round-robin initial
-	// spread; the per-bank port limit must hold on the slow path too.
+	// spread; the per-bank port limit must hold with 16 banks too.
 	if !f.TryRead(10, ops([2]uint64{0, 0}), false) {
 		t.Fatal("first bank-0 read should succeed")
 	}
@@ -25,15 +25,15 @@ func TestOneLevelManyBanksSlowPath(t *testing.T) {
 	if !f.TryRead(10, ops([2]uint64{1, 0}), false) {
 		t.Fatal("bank-1 read should succeed")
 	}
-	// Bypass and not-ready classifications on the slow path.
+	// Bypass and not-ready classifications with 16 banks.
 	f.BeginCycle(8)
 	o := ops([2]uint64{2, 10})
 	if !f.TryRead(8, o, false) || !o[0].ViaBypass {
-		t.Fatal("slow path should bypass at w-2")
+		t.Fatal("16-bank file should bypass at w-2")
 	}
 	f.BeginCycle(5)
 	if f.TryRead(5, ops([2]uint64{2, 10}), false) {
-		t.Fatal("slow path should reject unproduced operands")
+		t.Fatal("16-bank file should reject unproduced operands")
 	}
 }
 

@@ -51,6 +51,7 @@ type OneLevel struct {
 	bankOf    []int32 // per physical register; -1 until first write-back
 	live      []int   // live registers per bank (least-loaded policy)
 	readsLeft []int
+	need      []int // per-bank read demand of the instruction in TryRead
 	wb        []*wbReservation
 	nextBank  int
 	now       uint64
@@ -73,6 +74,7 @@ func NewOneLevel(cfg OneLevelConfig) *OneLevel {
 		bankOf:    make([]int32, cfg.NumPhys),
 		live:      make([]int, cfg.Banks),
 		readsLeft: make([]int, cfg.Banks),
+		need:      make([]int, cfg.Banks),
 		wb:        make([]*wbReservation, cfg.Banks),
 	}
 	for i := range f.bankOf {
@@ -143,45 +145,8 @@ func (f *OneLevel) ReserveWritebackBank(p PhysReg, earliest uint64) uint64 {
 // TryRead implements File: operands arrive via the (single-level) bypass
 // at t = w−1, otherwise through a read port of the operand's home bank.
 func (f *OneLevel) TryRead(t uint64, ops []Operand, demand bool) bool {
-	var need [8]int // per-bank demand of this instruction (≤ Banks banks used)
-	if f.cfg.Banks > len(need) {
-		return f.tryReadSlow(t, ops)
-	}
-	for i := range ops {
-		w := ops[i].Bus
-		switch {
-		case t+2 == w:
-			ops[i].ViaBypass = true
-		case t+1 >= w:
-			ops[i].ViaBypass = false
-			need[f.bankOf[ops[i].Reg]]++
-		default:
-			return false
-		}
-	}
-	for b := 0; b < f.cfg.Banks; b++ {
-		if need[b] > f.readsLeft[b] {
-			f.stats.ReadPortConflicts++
-			return false
-		}
-	}
-	for b := 0; b < f.cfg.Banks; b++ {
-		f.readsLeft[b] -= need[b]
-	}
-	for i := range ops {
-		if ops[i].ViaBypass {
-			f.stats.BypassReads++
-		} else {
-			f.stats.Reads++
-		}
-	}
-	return true
-}
-
-// tryReadSlow handles configurations with more banks than the fast path's
-// fixed buffer.
-func (f *OneLevel) tryReadSlow(t uint64, ops []Operand) bool {
-	need := make(map[int32]int, len(ops))
+	need := f.need
+	clear(need)
 	for i := range ops {
 		w := ops[i].Bus
 		switch {

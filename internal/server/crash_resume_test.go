@@ -9,6 +9,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -61,13 +62,46 @@ func waitStatus(t *testing.T, base, statusURL string, ok func(int, string) bool)
 	}
 }
 
+// compactClosed folds the records of the closed journal under dir into
+// a snapshot in the format an older server's compaction wrote
+// ({"next_id":N,"records":[...]}), committed through wal.Compact so no
+// log remains beside it. The server never compacts its own journal;
+// this keeps recovery from such a journal covered. It returns the
+// journal's stats after the compaction.
+func compactClosed(t *testing.T, dir string) wal.Stats {
+	t.Helper()
+	j := openWAL(t, dir)
+	defer j.Close()
+	var snap srvSnapshot
+	err := j.Replay(func(_ uint64, payload []byte) error {
+		var r srvRec
+		if err := json.Unmarshal(payload, &r); err != nil {
+			return err
+		}
+		snap.Records = append(snap.Records, r)
+		snap.NextID = max(snap.NextID, idNumber(r.ID))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Compact(data); err != nil {
+		t.Fatal(err)
+	}
+	return j.Stats()
+}
+
 // crashMidSweep runs resumeSpec on a journaled server over walDir and
 // storeDir until three rows are journaled and the fourth job is blocked
 // in the simulator, calls stuck (if non-nil) while it stays blocked, and
 // then crashes the server: it closes the HTTP front end and the journal
 // file handles but never calls Shutdown, so the abandoned server flushes
 // nothing and its in-memory sweep table is lost.
-func crashMidSweep(t *testing.T, walDir, storeDir string, stuck func(srv *Server, base string, ack api.SubmitResponse)) api.SubmitResponse {
+func crashMidSweep(t *testing.T, walDir, storeDir string, stuck func(base string, ack api.SubmitResponse)) api.SubmitResponse {
 	t.Helper()
 	release := make(chan struct{})
 	var sims atomic.Int64
@@ -102,7 +136,7 @@ func crashMidSweep(t *testing.T, walDir, storeDir string, stuck func(srv *Server
 		return completed == 3
 	})
 	if stuck != nil {
-		stuck(srv, ts.URL, ack)
+		stuck(ts.URL, ack)
 	}
 	ts.Close()
 	j.Close()
@@ -141,8 +175,8 @@ func restart(t *testing.T, walDir, storeDir string) (base string, sims *atomic.I
 }
 
 // TestServerCrashResume crashes a server between rows and restarts it:
-// once straight from the record log, and once from a snapshot compacted
-// while the sweep was still running.
+// once straight from the record log, and once from a snapshot of the
+// sweep compacted while it was still running.
 func TestServerCrashResume(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -153,16 +187,12 @@ func TestServerCrashResume(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			walDir, storeDir := t.TempDir(), t.TempDir()
-			var stuck func(*Server, string, api.SubmitResponse)
+			ack := crashMidSweep(t, walDir, storeDir, nil)
 			if tc.compact {
-				stuck = func(srv *Server, _ string, _ api.SubmitResponse) {
-					srv.compactJournal()
-					if st := srv.cfg.Journal.Stats(); st.Compactions != 1 {
-						t.Fatalf("Compactions = %d, want 1", st.Compactions)
-					}
+				if st := compactClosed(t, walDir); st.Compactions != 1 {
+					t.Fatalf("Compactions = %d, want 1", st.Compactions)
 				}
 			}
-			ack := crashMidSweep(t, walDir, storeDir, stuck)
 			base, sims, _ := restart(t, walDir, storeDir)
 
 			waitStatus(t, base, ack.StatusURL, func(_ int, state string) bool {
@@ -189,12 +219,12 @@ func TestServerCrashResume(t *testing.T) {
 	}
 }
 
-// TestServerCrashCanceledSnapshot pins that a compaction keeps a cancel
-// the sweep has not settled: cancel while a job is blocked, compact,
-// crash, restart. The sweep must end canceled with nothing re-simulated.
+// TestServerCrashCanceledSnapshot pins that a snapshot keeps a cancel
+// the sweep has not settled: cancel while a job is blocked, crash,
+// compact, restart. The sweep must end canceled with nothing re-simulated.
 func TestServerCrashCanceledSnapshot(t *testing.T) {
 	walDir, storeDir := t.TempDir(), t.TempDir()
-	ack := crashMidSweep(t, walDir, storeDir, func(srv *Server, base string, ack api.SubmitResponse) {
+	ack := crashMidSweep(t, walDir, storeDir, func(base string, ack api.SubmitResponse) {
 		req, err := http.NewRequest(http.MethodDelete, base+ack.StatusURL, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -207,10 +237,10 @@ func TestServerCrashCanceledSnapshot(t *testing.T) {
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("cancel returned %d", resp.StatusCode)
 		}
-		// The blocked job keeps the sweep running, so no end record exists
-		// yet: the snapshot alone must carry the cancel.
-		srv.compactJournal()
 	})
+	// The blocked job kept the sweep running, so no end record exists:
+	// the snapshot alone must carry the cancel.
+	compactClosed(t, walDir)
 	base, sims, _ := restart(t, walDir, storeDir)
 	st := getStatus(t, base, ack.StatusURL)
 	if st.State != "canceled" || st.Completed != 3 || !st.Recovered {
@@ -251,8 +281,9 @@ func TestServerRecoveredSurvivesRestarts(t *testing.T) {
 }
 
 // TestServerJournalCompactionResume pins that a snapshot-compacted
-// journal still resumes: compact after the sweep finishes, restart, and
-// assert the terminal sweep is still fully servable.
+// journal still resumes: compact after the sweep finishes and the
+// server stops, restart, and assert the terminal sweep is still fully
+// servable.
 func TestServerJournalCompactionResume(t *testing.T) {
 	walDir := t.TempDir()
 
@@ -264,12 +295,18 @@ func TestServerJournalCompactionResume(t *testing.T) {
 		return state == "done"
 	})
 	want := streamAll(t, ts1.URL, ack.ResultsURL)
-	srv1.compactJournal()
-	if st := j1.Stats(); st.Compactions != 1 {
+	ts1.Close()
+	// Shutdown waits for execute, which journals the end record after
+	// the state flip the status poll saw.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv1.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	j1.Close()
+	if st := compactClosed(t, walDir); st.Compactions != 1 {
 		t.Fatalf("Compactions = %d, want 1", st.Compactions)
 	}
-	ts1.Close()
-	j1.Close()
 
 	j2 := openWAL(t, walDir)
 	srv2 := New(Config{Simulate: fakeSim, Journal: j2})

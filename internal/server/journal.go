@@ -7,14 +7,15 @@ package server
 // list), every completed row (the full wire row, so a resumed NDJSON
 // stream reproduces the original bytes, cached flags included),
 // cancellation requests, and the terminal state with its recovered
-// marker. A compaction snapshot is the same records, compacted
-// ({"next_id":N,"records":[...]}): per sweep its submit, its rows, a
-// pending cancel and its end. Recovery applies the snapshot's records,
-// then the log's, sizing each row table from the spec's job count under
-// MaxJobs; it expands a spec only to resume the sweep or to rebuild its
-// warehouse segment. Interrupted sweeps resume, marked recovered, and
-// run only the jobs with no journaled row — completed work is never
-// re-simulated.
+// marker. The journal is append-only: the server retains every sweep,
+// so every record stays live and a snapshot would only re-encode the
+// log. Recovery still reads the snapshot an older server's compaction
+// may have left ({"next_id":N,"records":[...]}, or the older sweeps
+// table), applying its records and then the log's, sizing each row
+// table from the spec's job count under MaxJobs; it expands a spec only
+// to resume the sweep or to rebuild its warehouse segment. Interrupted
+// sweeps resume, marked recovered, and run only the jobs with no
+// journaled row — completed work is never re-simulated.
 //
 // The window this cannot close: a job's result reaches the
 // content-addressed store (inside the runner) an instant before its row
@@ -34,9 +35,6 @@ import (
 
 	"repro/internal/sweep"
 )
-
-// compactBytes is the live journal size that triggers compactLoop.
-const compactBytes = 1 << 20
 
 // srvRec is one server journal record; fields are op-dependent.
 type srvRec struct {
@@ -60,8 +58,8 @@ type srvRec struct {
 	Recovered bool      `json:"recovered,omitempty"`
 }
 
-// srvSnapshot is the compaction image: the sweep-id counter plus the
-// record log that rebuilds the sweep table.
+// srvSnapshot is the snapshot an older server's compaction wrote: the
+// sweep-id counter plus the record log that rebuilds the sweep table.
 type srvSnapshot struct {
 	NextID  uint64   `json:"next_id"`
 	Records []srvRec `json:"records,omitempty"`
@@ -70,24 +68,16 @@ type srvSnapshot struct {
 	Sweeps json.RawMessage `json:"sweeps,omitempty"`
 }
 
-// journalAppend writes one record, then runs publish (if non-nil) to
-// make the transition visible in memory. s.jmu covers both, and
-// compaction holds it from snapshot to Compact, so a snapshot never
-// misses a record the log it replaces holds. Callers must not hold s.mu
-// or any run.mu (compaction acquires them under s.jmu). Append errors
-// degrade to running unjournaled — the WAL poisons itself after the
-// first write error, so the cost stays one failed syscall per record.
-func (s *Server) journalAppend(r srvRec, publish func()) {
+// journalAppend writes one record. Callers append before they
+// acknowledge or show a transition: a submit before its ack is written,
+// a row or a cancel before the run holds it. Append errors degrade to
+// running unjournaled — the WAL poisons itself after the first write
+// error, so the cost stays one failed syscall per record.
+func (s *Server) journalAppend(r srvRec) {
 	if j := s.cfg.Journal; j != nil {
-		b, err := json.Marshal(r)
-		s.jmu.Lock()
-		defer s.jmu.Unlock()
-		if err == nil {
+		if b, err := json.Marshal(r); err == nil {
 			j.Append(b)
 		}
-	}
-	if publish != nil {
-		publish()
 	}
 }
 
@@ -204,7 +194,7 @@ func (s *Server) recoverJournal() error {
 				}
 				run.finished = time.Now()
 				s.journalAppend(srvRec{Op: "end", ID: id, State: string(run.state),
-					Finished: run.finished, Recovered: true}, nil)
+					Finished: run.finished, Recovered: true})
 			}
 		}
 		if run.state != stateRunning {
@@ -232,7 +222,6 @@ func (s *Server) recoverJournal() error {
 		}
 		s.active.Acquire(run.tenant, 1, 0)
 		s.queued.Acquire(run.tenant, remaining, 0)
-		s.queueDepth.Add(int64(remaining))
 		// Pre-populate the warehouse builder before execute can publish
 		// rows, so live Adds never race an absent builder.
 		s.warehousePrepareResume(run, jobs)
@@ -257,76 +246,6 @@ func idNumber(id string) uint64 {
 		return 0
 	}
 	return n
-}
-
-// snapshotJournal serializes the sweep table as a compacted record log.
-// Terminal sweeps ride along in full: the journal is the only thing that
-// lets a restarted server keep serving their status and result streams.
-func (s *Server) snapshotJournal() ([]byte, error) {
-	s.mu.Lock()
-	snap := srvSnapshot{NextID: s.nextID}
-	s.mu.Unlock()
-	for _, run := range s.runs() {
-		snap.Records = run.appendRecords(snap.Records)
-	}
-	return json.Marshal(snap)
-}
-
-// appendRecords appends the shortest record log that rebuilds the run:
-// its submit, its completed rows in job order, a cancel the sweep has
-// not settled yet, and its end record once it is terminal.
-func (r *sweepRun) appendRecords(recs []srvRec) []srvRec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	recs = append(recs, srvRec{
-		Op: "submit", ID: r.id, Name: r.name, Tenant: r.tenant,
-		Pri: r.priority, Par: r.parallelism, Spec: r.spec, Submitted: r.submitted,
-	})
-	for i := range r.rows {
-		if r.rows[i].Key != "" {
-			row := r.rows[i]
-			recs = append(recs, srvRec{Op: "row", ID: r.id, Index: i, Row: &row})
-		}
-	}
-	switch {
-	case r.state != stateRunning:
-		recs = append(recs, srvRec{Op: "end", ID: r.id, State: string(r.state),
-			Finished: r.finished, Recovered: r.recovered})
-	case r.canceling:
-		recs = append(recs, srvRec{Op: "cancel", ID: r.id})
-	}
-	return recs
-}
-
-// compactLoop compacts the journal whenever its live record bytes pass
-// compactBytes; it exits with the server context.
-func (s *Server) compactLoop() {
-	tick := time.NewTicker(5 * time.Second)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.ctx.Done():
-			return
-		case <-tick.C:
-			if s.cfg.Journal.SizeBytes() >= compactBytes {
-				s.compactJournal()
-			}
-		}
-	}
-}
-
-// compactJournal replaces the journal's records with a snapshot of the
-// sweep table.
-func (s *Server) compactJournal() {
-	s.jmu.Lock()
-	defer s.jmu.Unlock()
-	snap, err := s.snapshotJournal()
-	if err != nil {
-		return
-	}
-	if err := s.cfg.Journal.Compact(snap); err != nil {
-		s.logf("rfserved: journal compaction failed: %v", err)
-	}
 }
 
 // walJournals returns the journal labels for /metrics, sorted: the

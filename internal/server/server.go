@@ -210,17 +210,12 @@ type Server struct {
 	nextID uint64
 	closed bool
 
-	// jmu serializes journal appends against compaction (see
-	// journalAppend); never acquired while holding mu or a run's mu.
-	jmu sync.Mutex
-
 	start          time.Time
 	jobsCompleted  atomic.Uint64
 	jobsFromCache  atomic.Uint64
 	simsStarted    atomic.Uint64
 	instrsSim      atomic.Uint64
 	simNanos       atomic.Int64
-	queueDepth     atomic.Int64
 	sweepsCanceled atomic.Uint64
 }
 
@@ -329,7 +324,6 @@ func New(cfg Config) *Server {
 			s.sweeps = make(map[string]*sweepRun)
 			s.order = nil
 		}
-		go s.compactLoop()
 	}
 	return s
 }
@@ -611,14 +605,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 
 	s.bump(tn.Name, func(c *tenantCounters) { c.admitted++ })
-	s.queueDepth.Add(int64(len(jobs)))
 	// Journaled before execution starts and before the ack is written:
 	// a sweep the client saw accepted must survive a crash.
 	s.journalAppend(srvRec{
 		Op: "submit", ID: run.id, Name: run.name, Tenant: run.tenant,
 		Pri: run.priority, Par: parallelism, Spec: run.spec,
 		Submitted: run.submitted,
-	}, nil)
+	})
 	if s.cfg.Warehouse != nil {
 		// Open the sweep's index builder before execution can publish a
 		// row; rows then ingest through the seam in execute, right next to
@@ -671,13 +664,12 @@ func (s *Server) execute(ctx context.Context, run *sweepRun, jobs []sweep.Job) {
 		row := sweep.RowOf(p.Job, sweep.Outcome{Result: p.Result, Key: p.Key, Cached: p.Cached})
 		// Journaled before publishing: a row a client may have streamed
 		// must survive the crash that follows it.
-		s.journalAppend(srvRec{Op: "row", ID: run.id, Index: idx, Row: &row}, func() {
-			run.mu.Lock()
-			run.setRowLocked(idx, row)
-			doneHere++
-			run.wakeLocked()
-			run.mu.Unlock()
-		})
+		s.journalAppend(srvRec{Op: "row", ID: run.id, Index: idx, Row: &row})
+		run.mu.Lock()
+		run.setRowLocked(idx, row)
+		doneHere++
+		run.wakeLocked()
+		run.mu.Unlock()
 		if s.cfg.Warehouse != nil {
 			// The warehouse ingest seam sits beside the journal hook: the
 			// row is indexed under its job-expansion index, so the sealed
@@ -688,7 +680,6 @@ func (s *Server) execute(ctx context.Context, run *sweepRun, jobs []sweep.Job) {
 		if p.Cached {
 			s.jobsFromCache.Add(1)
 		}
-		s.queueDepth.Add(-1)
 		s.queued.Release(run.tenant, 1)
 	})
 
@@ -716,8 +707,7 @@ func (s *Server) execute(ctx context.Context, run *sweepRun, jobs []sweep.Job) {
 	skipped := len(todo) - doneHere
 	run.wakeLocked()
 	run.mu.Unlock()
-	s.journalAppend(end, nil)
-	s.queueDepth.Add(-int64(skipped))
+	s.journalAppend(end)
 	s.queued.Release(run.tenant, skipped) // jobs skipped by cancellation
 	s.active.Release(run.tenant, 1)
 	run.cancel() // release the context regardless of how the sweep ended
@@ -832,11 +822,10 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	// Journaled before the cancel takes effect: if the server dies before
 	// execute settles the terminal state, recovery must not resume the
 	// sweep the client was told is being canceled.
-	s.journalAppend(srvRec{Op: "cancel", ID: run.id}, func() {
-		run.mu.Lock()
-		run.canceling = true
-		run.mu.Unlock()
-	})
+	s.journalAppend(srvRec{Op: "cancel", ID: run.id})
+	run.mu.Lock()
+	run.canceling = true
+	run.mu.Unlock()
 	run.cancel()
 	writeJSON(w, http.StatusAccepted, run.status(s.tenanted()))
 }
@@ -1010,15 +999,18 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	total := len(s.sweeps)
-	active := 0
-	for _, run := range s.sweeps {
-		run.mu.Lock()
-		if run.state == stateRunning {
-			active++
-		}
-		run.mu.Unlock()
-	}
 	s.mu.Unlock()
+	// The tenant reservers hold one active unit per running sweep and
+	// one queued unit per unresolved job, so the totals are their sums.
+	activeSnap := s.active.Snapshot()
+	queuedSnap := s.queued.Snapshot()
+	active, queueDepth := 0, 0
+	for _, n := range activeSnap {
+		active += n
+	}
+	for _, n := range queuedSnap {
+		queueDepth += n
+	}
 
 	cache := s.runner.CacheStats()
 	hitRate := 0.0
@@ -1043,7 +1035,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	m("rfserved_jobs_completed_total", s.jobsCompleted.Load(), "jobs resolved (simulated or cached)")
 	m("rfserved_jobs_cached_total", s.jobsFromCache.Load(), "jobs served without simulating")
 	m("rfserved_simulations_started_total", s.simsStarted.Load(), "simulations actually executed")
-	m("rfserved_queue_depth", s.queueDepth.Load(), "jobs submitted but not yet resolved")
+	m("rfserved_queue_depth", queueDepth, "jobs submitted but not yet resolved")
 	m("rfserved_cache_hits_total", cache.Hits, "runner cache hits since start")
 	m("rfserved_cache_misses_total", cache.Misses, "runner cache misses since start")
 	m("rfserved_cache_hit_rate", fmt.Sprintf("%.6f", hitRate), "hits / (hits + misses)")
@@ -1143,8 +1135,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	// Per-tenant admission activity, one labeled row per tenant that has
 	// done anything since start. Untenanted deployments account all
 	// traffic to "anonymous", so these families appear there too.
-	activeSnap := s.active.Snapshot()
-	queuedSnap := s.queued.Snapshot()
 	storeSnap := s.storeBytes.Snapshot()
 	s.tmu.Lock()
 	counters := make(map[string]tenantCounters, len(s.tstats))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -444,6 +445,57 @@ func TestMetricsAndList(t *testing.T) {
 	}
 	if len(list.Sweeps) != 2 || list.Sweeps[0].ID != "s000001" || list.Sweeps[1].ID != "s000002" {
 		t.Errorf("list = %+v", list.Sweeps)
+	}
+}
+
+// TestMetricsMidSweep scrapes /metrics while a sweep's first job is
+// blocked in the simulator: the sweep counts as active and all its jobs
+// as queued, and both gauges drain to zero once it finishes.
+func TestMetricsMidSweep(t *testing.T) {
+	release := make(chan struct{})
+	started := make(chan struct{})
+	var first atomic.Bool
+	blocked := func(j sweep.Job) sim.Result {
+		if first.CompareAndSwap(false, true) {
+			close(started)
+		}
+		<-release
+		return fakeSim(j)
+	}
+	_, ts := newTestServer(t, Config{Simulate: blocked, MaxWorkers: 1})
+	var once atomic.Bool
+	unblock := func() {
+		if once.CompareAndSwap(false, true) {
+			close(release)
+		}
+	}
+	t.Cleanup(unblock) // runs before the server's Shutdown
+	ack := submit(t, ts.URL, testSpec)
+	<-started
+
+	metrics := getMetrics(t, ts.URL)
+	for _, want := range []string{
+		"\nrfserved_sweeps_active 1\n",
+		fmt.Sprintf("\nrfserved_queue_depth %d\n", ack.Jobs),
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("mid-sweep metrics missing %q:\n%s", strings.TrimSpace(want), metrics)
+		}
+	}
+
+	unblock()
+	streamAll(t, ts.URL, ack.ResultsURL)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		metrics = getMetrics(t, ts.URL)
+		if strings.Contains(metrics, "\nrfserved_sweeps_active 0\n") &&
+			strings.Contains(metrics, "\nrfserved_queue_depth 0\n") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("active and queued gauges never drained:\n%s", metrics)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

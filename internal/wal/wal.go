@@ -120,7 +120,7 @@ type WAL struct {
 	liveBytes int64    // bytes across all live segments
 	next      uint64   // global index of the next record to append
 	snapIndex uint64
-	snapData  []byte
+	snapData  []byte   // recovered snapshot payload, until Replay drops it
 	replay    [][]byte // recovered post-snapshot payloads, until Replay drains them
 	dirty     bool     // active segment has unsynced appends
 	failed    bool     // a write error left the tail unknown; journal is read-only
@@ -133,8 +133,8 @@ type WAL struct {
 }
 
 // Open loads (or initializes) the journal rooted at dir, recovering the
-// record chain and truncating any torn tail. The recovered records are
-// held for a single Replay call; Append continues the chain.
+// record chain and truncating any torn tail. The recovered snapshot and
+// records are held for a single Replay call; Append continues the chain.
 func Open(dir string, opts Options) (*WAL, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 4 << 20
@@ -269,8 +269,11 @@ func (w *WAL) discard(path string, size int64) {
 }
 
 // scanSegment replays one segment file, buffering payloads with global
-// index beyond the snapshot. It returns the number of good records and
-// the byte offset just past the last one.
+// index beyond the snapshot. Each payload is copied out, so the file's
+// bytes are garbage once the scan ends and Replay can free the records
+// one by one; sub-slices would pin each whole file until its last record
+// replayed. It returns the number of good records and the byte offset
+// just past the last one.
 func (w *WAL) scanSegment(path string, start uint64) (n int, good int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -323,6 +326,8 @@ func segName(start uint64) string {
 
 // Snapshot returns the recovered snapshot payload and the global index
 // of the last record it covers; ok is false when no snapshot survived.
+// Replay drops the payload, so read it before calling Replay; a
+// snapshot Compact commits is not held, and the next Open recovers it.
 func (w *WAL) Snapshot() (data []byte, index uint64, ok bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -333,15 +338,18 @@ func (w *WAL) Snapshot() (data []byte, index uint64, ok bool) {
 }
 
 // Replay calls fn for every recovered post-snapshot record in append
-// order, then releases the recovery buffer. It must be called (at most
-// once) before the first Append; fn's error aborts the walk.
+// order, releasing each record once fn has it and the snapshot payload
+// up front. A payload is valid only during fn; fn copies what it keeps.
+// Replay must be called (at most once) before the first Append; fn's
+// error aborts the walk.
 func (w *WAL) Replay(fn func(index uint64, payload []byte) error) error {
 	w.mu.Lock()
 	recs := w.replay
 	first := w.next - uint64(len(recs))
-	w.replay = nil
+	w.replay, w.snapData = nil, nil
 	w.mu.Unlock()
 	for i, p := range recs {
+		recs[i] = nil // p is garbage once fn returns, not once Replay does
 		if err := fn(first+uint64(i), p); err != nil {
 			return err
 		}
@@ -518,7 +526,6 @@ func (w *WAL) Compact(snapshot []byte) error {
 	}
 	syncDir(w.dir)
 	w.snapIndex = sf.Index
-	w.snapData = sf.Data
 	w.stats.Compactions++
 	// Every live segment is now covered by the snapshot. A crash between
 	// the rename above and these deletes is safe: recovery skips records

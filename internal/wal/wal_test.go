@@ -382,6 +382,36 @@ func TestWALSnapshotCompactAndResume(t *testing.T) {
 	}
 }
 
+// TestWALReplayReleasesSnapshot pins that the journal holds its
+// snapshot payload only until Replay: once Replay returns, Snapshot
+// reports none, and a later Compact's payload is not held either.
+func TestWALReplayReleasesSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	w := mustOpen(t, dir, Options{SyncInterval: -1})
+	appendN(t, w, 0, 3)
+	if err := w.Compact([]byte("base")); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	w.Close()
+
+	re := mustOpen(t, dir, Options{SyncInterval: -1})
+	defer re.Close()
+	if snap, _, ok := re.Snapshot(); !ok || string(snap) != "base" {
+		t.Fatalf("Snapshot() before Replay = %q, %v; want base, true", snap, ok)
+	}
+	replayAll(t, re)
+	if snap, _, ok := re.Snapshot(); ok {
+		t.Fatalf("Snapshot() after Replay = %q, true; want none", snap)
+	}
+	appendN(t, re, 3, 2)
+	if err := re.Compact([]byte("later")); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	if snap, _, ok := re.Snapshot(); ok {
+		t.Fatalf("Snapshot() after Compact = %q, true; want none until the next Open", snap)
+	}
+}
+
 // TestWALCompactRenameFailure fails the snapshot commit rename and
 // asserts nothing was thrown away: the records are all still
 // recoverable and the old snapshot (none) is still in force.
