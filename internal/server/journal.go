@@ -17,6 +17,12 @@ package server
 // sweeps resume, marked recovered, and run only the jobs with no
 // journaled row — completed work is never re-simulated.
 //
+// Records are written with json.Marshal and replayed with decodeRecord,
+// which decodes them as json.Unmarshal would but without reflection:
+// a restart decodes every record of the log. Only a submit carries
+// submitted and only an end carries finished. Journals from servers
+// that wrote both, zero, into every record still replay.
+//
 // The window this cannot close: a job's result reaches the
 // content-addressed store (inside the runner) an instant before its row
 // record reaches the journal. A crash in that window re-runs the job on
@@ -26,12 +32,15 @@ package server
 // server between rows, not inside the commit pair).
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/sweep"
 )
@@ -42,20 +51,30 @@ type srvRec struct {
 	ID string `json:"id"`
 	// submit fields. Spec is the accepted request body verbatim; replay
 	// re-expands it, so the job list never has to be journaled.
-	Name      string    `json:"name,omitempty"`
-	Tenant    string    `json:"tenant,omitempty"`
-	Pri       int       `json:"pri,omitempty"`
-	Par       int       `json:"par,omitempty"`
-	Spec      string    `json:"spec,omitempty"`
-	Submitted time.Time `json:"submitted,omitempty"`
+	Name      string     `json:"name,omitempty"`
+	Tenant    string     `json:"tenant,omitempty"`
+	Pri       int        `json:"pri,omitempty"`
+	Par       int        `json:"par,omitempty"`
+	Spec      string     `json:"spec,omitempty"`
+	Submitted *time.Time `json:"submitted,omitempty"`
 	// row fields. Index is the job's position in the sweep's expansion;
 	// Row is the full wire row.
 	Index int        `json:"index,omitempty"`
 	Row   *sweep.Row `json:"row,omitempty"`
-	// end fields.
-	State     string    `json:"state,omitempty"`
-	Finished  time.Time `json:"finished,omitempty"`
-	Recovered bool      `json:"recovered,omitempty"`
+	// end fields. The times are pointers so that omitempty leaves them
+	// out of the records that do not carry them (it never omits a
+	// time.Time value).
+	State     string     `json:"state,omitempty"`
+	Finished  *time.Time `json:"finished,omitempty"`
+	Recovered bool       `json:"recovered,omitempty"`
+}
+
+// timeOf returns *t, or the zero time for nil.
+func timeOf(t *time.Time) time.Time {
+	if t == nil {
+		return time.Time{}
+	}
+	return *t
 }
 
 // srvSnapshot is the snapshot an older server's compaction wrote: the
@@ -66,6 +85,462 @@ type srvSnapshot struct {
 	// Sweeps marks a snapshot from before record snapshots; its sweep
 	// table is dropped (the results stay in the store).
 	Sweeps json.RawMessage `json:"sweeps,omitempty"`
+}
+
+// recKeys and rowKeys are the JSON names of srvRec's and sweep.Row's
+// fields, the names decodeRecord matches keys against.
+var (
+	recKeys = []string{"op", "id", "name", "tenant", "pri", "par", "spec",
+		"submitted", "index", "row", "state", "finished", "recovered"}
+	rowKeys = []string{"benchmark", "arch", "seed", "instructions", "cycles",
+		"ipc", "mispredict_rate", "icache_miss_rate", "dcache_miss_rate", "key", "cached"}
+)
+
+// maxSkipDepth is how deeply a value decodeRecord skips may nest before
+// the whole payload goes to json.Unmarshal, which allows 10000 levels.
+const maxSkipDepth = 64
+
+// decodeRecord decodes one journal record payload into r, which must be
+// zero, and reports whether json.Unmarshal(payload, r) succeeds; when it
+// does, r holds what json.Unmarshal stores. It does json.Unmarshal's
+// work without reflection, since recovery decodes every record of the
+// log. A payload that nests past maxSkipDepth goes to json.Unmarshal.
+func decodeRecord(payload []byte, r *srvRec) bool {
+	ok, odd := scanRecord(payload, r)
+	if odd {
+		var full srvRec // not r, which would then escape in every call
+		err := json.Unmarshal(payload, &full)
+		*r = full
+		return err == nil
+	}
+	return ok
+}
+
+// scanRecord is decodeRecord without the fallback: odd reports a
+// payload it left to json.Unmarshal.
+func scanRecord(payload []byte, r *srvRec) (ok, odd bool) {
+	d := recDecoder{data: payload}
+	switch d.peek() {
+	case '{':
+		ok = d.object(func(key []byte) bool { return d.recField(r, key) })
+	case 'n':
+		ok = d.literal("null") // leaves r zero, as json.Unmarshal does
+	}
+	// Any other top-level value is a type error.
+	d.space()
+	return ok && d.off == len(d.data), d.odd
+}
+
+// recDecoder is a cursor over one record payload. Its methods consume
+// one value each and return false where json.Unmarshal would fail: on
+// a syntax error, or on a value the field's type cannot hold (an error
+// json.Unmarshal also reports, whatever follows). Every string it
+// stores is a copy, since the payload is freed after the callback.
+type recDecoder struct {
+	data []byte
+	off  int
+	odd  bool // set where the payload nests past maxSkipDepth
+}
+
+func (d *recDecoder) space() {
+	for d.off < len(d.data) {
+		switch d.data[d.off] {
+		case ' ', '\t', '\n', '\r':
+			d.off++
+		default:
+			return
+		}
+	}
+}
+
+// peek skips white space and returns the next byte, or 0 at the end.
+func (d *recDecoder) peek() byte {
+	d.space()
+	if d.off < len(d.data) {
+		return d.data[d.off]
+	}
+	return 0
+}
+
+// literal consumes lit (true, false or null) at the cursor.
+func (d *recDecoder) literal(lit string) bool {
+	if !bytes.HasPrefix(d.data[d.off:], []byte(lit)) {
+		return false
+	}
+	d.off += len(lit)
+	return true
+}
+
+// recField decodes the value of the record key key at the cursor.
+// Keys match the way encoding/json matches them: exactly, else
+// case-insensitively; a key matching no field has its value skipped.
+func (d *recDecoder) recField(r *srvRec, key []byte) bool {
+	switch string(key) {
+	case "op":
+		return d.text(&r.Op)
+	case "id":
+		return d.text(&r.ID)
+	case "name":
+		return d.text(&r.Name)
+	case "tenant":
+		return d.text(&r.Tenant)
+	case "pri":
+		return d.integer(&r.Pri)
+	case "par":
+		return d.integer(&r.Par)
+	case "spec":
+		return d.text(&r.Spec)
+	case "submitted":
+		return d.stamp(&r.Submitted)
+	case "index":
+		return d.integer(&r.Index)
+	case "row":
+		return d.row(&r.Row)
+	case "state":
+		return d.text(&r.State)
+	case "finished":
+		return d.stamp(&r.Finished)
+	case "recovered":
+		return d.boolean(&r.Recovered)
+	}
+	if name := foldKey(key, recKeys); name != "" {
+		return d.recField(r, []byte(name))
+	}
+	return d.skip(2)
+}
+
+// rowField is recField for the keys of a row.
+func (d *recDecoder) rowField(row *sweep.Row, key []byte) bool {
+	switch string(key) {
+	case "benchmark":
+		return d.text(&row.Benchmark)
+	case "arch":
+		return d.text(&row.Arch)
+	case "seed":
+		return d.unsigned(&row.Seed)
+	case "instructions":
+		return d.unsigned(&row.Instructions)
+	case "cycles":
+		return d.unsigned(&row.Cycles)
+	case "ipc":
+		return d.float(&row.IPC)
+	case "mispredict_rate":
+		return d.float(&row.MispredRate)
+	case "icache_miss_rate":
+		return d.float(&row.ICacheMiss)
+	case "dcache_miss_rate":
+		return d.float(&row.DCacheMiss)
+	case "key":
+		return d.text(&row.Key)
+	case "cached":
+		return d.boolean(&row.Cached)
+	}
+	if name := foldKey(key, rowKeys); name != "" {
+		return d.rowField(row, []byte(name))
+	}
+	return d.skip(3)
+}
+
+// foldKey returns the name in names that key equals under case folding.
+func foldKey(key []byte, names []string) string {
+	for _, n := range names {
+		if bytes.EqualFold(key, []byte(n)) {
+			return n
+		}
+	}
+	return ""
+}
+
+// object consumes the object at the cursor, calling field with each
+// key and the cursor on its value.
+func (d *recDecoder) object(field func(key []byte) bool) bool {
+	d.off++ // {
+	if d.peek() == '}' {
+		d.off++
+		return true
+	}
+	for {
+		if d.peek() != '"' {
+			return false
+		}
+		tok, plain, ok := d.str()
+		if !ok || d.peek() != ':' {
+			return false
+		}
+		d.off++
+		key := tok[1 : len(tok)-1]
+		if !plain {
+			key = []byte(unquote(tok, false))
+		}
+		if !field(key) {
+			return false
+		}
+		switch d.peek() {
+		case ',':
+			d.off++
+		case '}':
+			d.off++
+			return true
+		default:
+			return false
+		}
+	}
+}
+
+// skip consumes and validates the value at the cursor, which sits at
+// nesting depth depth.
+func (d *recDecoder) skip(depth int) bool {
+	switch d.peek() {
+	case '"':
+		_, _, ok := d.str()
+		return ok
+	case '{':
+		if depth > maxSkipDepth {
+			d.odd = true
+			return false
+		}
+		return d.object(func([]byte) bool { return d.skip(depth + 1) })
+	case '[':
+		if depth > maxSkipDepth {
+			d.odd = true
+			return false
+		}
+		d.off++
+		if d.peek() == ']' {
+			d.off++
+			return true
+		}
+		for {
+			if !d.skip(depth + 1) {
+				return false
+			}
+			switch d.peek() {
+			case ',':
+				d.off++
+			case ']':
+				d.off++
+				return true
+			default:
+				return false
+			}
+		}
+	case 't':
+		return d.literal("true")
+	case 'f':
+		return d.literal("false")
+	case 'n':
+		return d.literal("null")
+	}
+	_, ok := d.number()
+	return ok
+}
+
+// str consumes the string token at the cursor and returns it, quotes
+// included. plain reports a token whose contents are its value: no
+// escapes and valid UTF-8.
+func (d *recDecoder) str() (tok []byte, plain, ok bool) {
+	b, i := d.data, d.off+1
+	ascii := true
+	plain = true
+	for {
+		for i < len(b) && ' ' <= b[i] && b[i] < utf8.RuneSelf && b[i] != '"' && b[i] != '\\' {
+			i++
+		}
+		if i >= len(b) {
+			return nil, false, false
+		}
+		switch c := b[i]; {
+		case c == '"':
+			tok, d.off = b[d.off:i+1], i+1
+			if !ascii && plain {
+				plain = utf8.Valid(tok)
+			}
+			return tok, plain, true
+		case c == '\\':
+			plain = false
+			if i++; i >= len(b) {
+				return nil, false, false
+			}
+			switch b[i] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			case 'u':
+				if i+4 >= len(b) || !isHex(b[i+1]) || !isHex(b[i+2]) || !isHex(b[i+3]) || !isHex(b[i+4]) {
+					return nil, false, false
+				}
+				i += 4
+			default:
+				return nil, false, false
+			}
+		case c < ' ':
+			return nil, false, false
+		default:
+			ascii = false
+		}
+		i++
+	}
+}
+
+func isHex(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
+}
+
+// unquote returns the value of a string token str consumed as a new
+// string. A token that is not plain goes to json.Unmarshal, which
+// decodes its escapes and replaces invalid UTF-8 as it does for fields.
+func unquote(tok []byte, plain bool) string {
+	if plain {
+		return string(tok[1 : len(tok)-1])
+	}
+	var s string
+	json.Unmarshal(tok, &s) // cannot fail on a token str accepted
+	return s
+}
+
+// number consumes the number token at the cursor by the JSON grammar:
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+func (d *recDecoder) number() ([]byte, bool) {
+	b, i := d.data, d.off
+	digits := func() bool {
+		n := i
+		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+			i++
+		}
+		return i > n
+	}
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	if i < len(b) && b[i] == '0' {
+		i++
+	} else if !digits() {
+		return nil, false
+	}
+	if i < len(b) && b[i] == '.' {
+		i++
+		if !digits() {
+			return nil, false
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if !digits() {
+			return nil, false
+		}
+	}
+	tok := b[d.off:i]
+	d.off = i
+	return tok, true
+}
+
+// The scalar decoders below fill a field the way encoding/json does:
+// null leaves it as it is, a number goes through strconv, and a value
+// of any other JSON type is a type error.
+
+func (d *recDecoder) text(dst *string) bool {
+	switch d.peek() {
+	case '"':
+		tok, plain, ok := d.str()
+		if ok {
+			*dst = unquote(tok, plain)
+		}
+		return ok
+	case 'n':
+		return d.literal("null")
+	}
+	return false
+}
+
+func (d *recDecoder) boolean(dst *bool) bool {
+	switch d.peek() {
+	case 't':
+		*dst = true
+		return d.literal("true")
+	case 'f':
+		*dst = false
+		return d.literal("false")
+	case 'n':
+		return d.literal("null")
+	}
+	return false
+}
+
+func (d *recDecoder) integer(dst *int) bool {
+	if d.peek() == 'n' {
+		return d.literal("null")
+	}
+	tok, ok := d.number()
+	if !ok {
+		return false
+	}
+	n, err := strconv.ParseInt(string(tok), 10, strconv.IntSize)
+	*dst = int(n)
+	return err == nil
+}
+
+func (d *recDecoder) unsigned(dst *uint64) bool {
+	if d.peek() == 'n' {
+		return d.literal("null")
+	}
+	tok, ok := d.number()
+	if !ok {
+		return false
+	}
+	n, err := strconv.ParseUint(string(tok), 10, 64)
+	*dst = n
+	return err == nil
+}
+
+func (d *recDecoder) float(dst *float64) bool {
+	if d.peek() == 'n' {
+		return d.literal("null")
+	}
+	tok, ok := d.number()
+	if !ok {
+		return false
+	}
+	f, err := strconv.ParseFloat(string(tok), 64)
+	*dst = f
+	return err == nil
+}
+
+// stamp fills a *time.Time field: null stores nil, and any other value
+// goes, as its raw token, to time.Time.UnmarshalJSON, which accepts
+// only strings.
+func (d *recDecoder) stamp(dst **time.Time) bool {
+	switch d.peek() {
+	case '"':
+		tok, _, ok := d.str()
+		t := new(time.Time)
+		if !ok || t.UnmarshalJSON(tok) != nil {
+			return false
+		}
+		*dst = t
+		return true
+	case 'n':
+		*dst = nil
+		return d.literal("null")
+	}
+	return false
+}
+
+// row fills the row field: null stores nil, and an object decodes into
+// the row already there, as encoding/json does with a repeated key.
+func (d *recDecoder) row(dst **sweep.Row) bool {
+	switch d.peek() {
+	case '{':
+		if *dst == nil {
+			*dst = new(sweep.Row)
+		}
+		row := *dst
+		return d.object(func(key []byte) bool { return d.rowField(row, key) })
+	case 'n':
+		*dst = nil
+		return d.literal("null")
+	}
+	return false
 }
 
 // journalAppend writes one record. Callers append before they
@@ -109,6 +584,7 @@ func (rs *replaySweep) jobs() ([]sweep.Job, error) {
 // is visible; the returned error means the snapshot itself was
 // unreadable (records are skipped individually).
 func (s *Server) recoverJournal() error {
+	start := time.Now()
 	runs := make(map[string]*replaySweep)
 	var order []string
 	apply := func(r srvRec) {
@@ -131,7 +607,7 @@ func (s *Server) recoverJournal() error {
 			runs[r.ID] = &replaySweep{spec: spec, run: &sweepRun{
 				id: r.ID, name: r.Name, tenant: r.Tenant, priority: r.Pri,
 				parallelism: r.Par, spec: r.Spec, rows: make([]sweep.Row, count),
-				state: stateRunning, submitted: r.Submitted, notify: make(chan struct{}),
+				state: stateRunning, submitted: timeOf(r.Submitted), notify: make(chan struct{}),
 			}}
 			order = append(order, r.ID)
 			if n := idNumber(r.ID); n > s.nextID {
@@ -147,7 +623,7 @@ func (s *Server) recoverJournal() error {
 			}
 		case "end":
 			if rs != nil {
-				rs.run.state, rs.run.finished = sweepState(r.State), r.Finished
+				rs.run.state, rs.run.finished = sweepState(r.State), timeOf(r.Finished)
 				rs.run.recovered = r.Recovered
 			}
 		}
@@ -168,7 +644,7 @@ func (s *Server) recoverJournal() error {
 	}
 	_ = s.cfg.Journal.Replay(func(_ uint64, payload []byte) error { // errors only if the callback does
 		var r srvRec
-		if json.Unmarshal(payload, &r) == nil { // skip a foreign or damaged record
+		if decodeRecord(payload, &r) { // skip a foreign or damaged record
 			apply(r)
 		}
 		return nil
@@ -194,7 +670,7 @@ func (s *Server) recoverJournal() error {
 				}
 				run.finished = time.Now()
 				s.journalAppend(srvRec{Op: "end", ID: id, State: string(run.state),
-					Finished: run.finished, Recovered: true})
+					Finished: &run.finished, Recovered: true})
 			}
 		}
 		if run.state != stateRunning {
@@ -232,9 +708,11 @@ func (s *Server) recoverJournal() error {
 		s.logf("rfserved: resuming sweep %s (%d of %d jobs journaled complete)",
 			id, run.completed, len(run.rows))
 	}
+	// The duration covers decoding and applying the records and resuming
+	// the sweeps; Stats.ReplayDuration times only the WAL's segment scan.
 	if st := s.cfg.Journal.Stats(); st.Replayed > 0 || len(order) > 0 {
 		s.logf("rfserved: journal replayed %d records in %s (%d sweeps, %d bytes truncated)",
-			st.Replayed, st.ReplayDuration.Round(time.Millisecond), len(order), st.TruncatedBytes)
+			st.Replayed, time.Since(start).Round(time.Millisecond), len(order), st.TruncatedBytes)
 	}
 	return nil
 }

@@ -610,7 +610,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.journalAppend(srvRec{
 		Op: "submit", ID: run.id, Name: run.name, Tenant: run.tenant,
 		Pri: run.priority, Par: parallelism, Spec: run.spec,
-		Submitted: run.submitted,
+		Submitted: &run.submitted,
 	})
 	if s.cfg.Warehouse != nil {
 		// Open the sweep's index builder before execution can publish a
@@ -703,7 +703,7 @@ func (s *Server) execute(ctx context.Context, run *sweepRun, jobs []sweep.Job) {
 	}
 	run.finished = time.Now()
 	end := srvRec{Op: "end", ID: run.id, State: string(run.state),
-		Finished: run.finished, Recovered: run.recovered}
+		Finished: &run.finished, Recovered: run.recovered}
 	skipped := len(todo) - doneHere
 	run.wakeLocked()
 	run.mu.Unlock()
