@@ -171,9 +171,10 @@ func (d *recDecoder) literal(lit string) bool {
 	return true
 }
 
-// recField decodes the value of the record key key at the cursor.
-// Keys match the way encoding/json matches them: exactly, else
-// case-insensitively; a key matching no field has its value skipped.
+// recField decodes the value at the cursor into the record field that
+// key names. Keys match the way encoding/json matches them: exactly,
+// else case-insensitively; a key matching no field has its value
+// skipped.
 func (d *recDecoder) recField(r *srvRec, key []byte) bool {
 	switch string(key) {
 	case "op":
@@ -392,7 +393,7 @@ func unquote(tok []byte, plain bool) string {
 		return string(tok[1 : len(tok)-1])
 	}
 	var s string
-	json.Unmarshal(tok, &s) // cannot fail on a token str accepted
+	_ = json.Unmarshal(tok, &s) // cannot fail on a token str accepted
 	return s
 }
 

@@ -701,9 +701,10 @@ func (s *Server) execute(ctx context.Context, run *sweepRun, jobs []sweep.Job) {
 		run.state = stateCanceled
 		s.sweepsCanceled.Add(1)
 	}
-	run.finished = time.Now()
+	finished := time.Now()
+	run.finished = finished
 	end := srvRec{Op: "end", ID: run.id, State: string(run.state),
-		Finished: &run.finished, Recovered: run.recovered}
+		Finished: &finished, Recovered: run.recovered}
 	skipped := len(todo) - doneHere
 	run.wakeLocked()
 	run.mu.Unlock()
