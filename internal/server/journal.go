@@ -96,30 +96,18 @@ var (
 		"ipc", "mispredict_rate", "icache_miss_rate", "dcache_miss_rate", "key", "cached"}
 )
 
-// maxSkipDepth is how deeply a value decodeRecord skips may nest before
-// the whole payload goes to json.Unmarshal, which allows 10000 levels.
-const maxSkipDepth = 64
+// maxDepth is encoding/json's nesting limit: it rejects a payload whose
+// arrays and objects nest deeper.
+const maxDepth = 10000
 
 // decodeRecord decodes one journal record payload into r, which must be
 // zero, and reports whether json.Unmarshal(payload, r) succeeds; when it
 // does, r holds what json.Unmarshal stores. It does json.Unmarshal's
 // work without reflection, since recovery decodes every record of the
-// log. A payload that nests past maxSkipDepth goes to json.Unmarshal.
+// log.
 func decodeRecord(payload []byte, r *srvRec) bool {
-	ok, odd := scanRecord(payload, r)
-	if odd {
-		var full srvRec // not r, which would then escape in every call
-		err := json.Unmarshal(payload, &full)
-		*r = full
-		return err == nil
-	}
-	return ok
-}
-
-// scanRecord is decodeRecord without the fallback: odd reports a
-// payload it left to json.Unmarshal.
-func scanRecord(payload []byte, r *srvRec) (ok, odd bool) {
 	d := recDecoder{data: payload}
+	ok := false
 	switch d.peek() {
 	case '{':
 		ok = d.object(func(key []byte) bool { return d.recField(r, key) })
@@ -128,7 +116,7 @@ func scanRecord(payload []byte, r *srvRec) (ok, odd bool) {
 	}
 	// Any other top-level value is a type error.
 	d.space()
-	return ok && d.off == len(d.data), d.odd
+	return ok && d.off == len(d.data)
 }
 
 // recDecoder is a cursor over one record payload. Its methods consume
@@ -139,7 +127,6 @@ func scanRecord(payload []byte, r *srvRec) (ok, odd bool) {
 type recDecoder struct {
 	data []byte
 	off  int
-	odd  bool // set where the payload nests past maxSkipDepth
 }
 
 func (d *recDecoder) space() {
@@ -173,8 +160,8 @@ func (d *recDecoder) literal(lit string) bool {
 
 // recField decodes the value at the cursor into the record field that
 // key names. Keys match the way encoding/json matches them: exactly,
-// else case-insensitively; a key matching no field has its value
-// skipped.
+// else case-insensitively (see foldKey); a key matching no field has
+// its value skipped.
 func (d *recDecoder) recField(r *srvRec, key []byte) bool {
 	switch string(key) {
 	case "op":
@@ -204,7 +191,11 @@ func (d *recDecoder) recField(r *srvRec, key []byte) bool {
 	case "recovered":
 		return d.boolean(&r.Recovered)
 	}
-	if name := foldKey(key, recKeys); name != "" {
+	name, ascii := foldKey(key, recKeys)
+	if !ascii {
+		return member(d, key, 2, r)
+	}
+	if name != "" && name != string(key) { // a name the switch lacks is skipped, not folded again
 		return d.recField(r, []byte(name))
 	}
 	return d.skip(2)
@@ -236,20 +227,53 @@ func (d *recDecoder) rowField(row *sweep.Row, key []byte) bool {
 	case "cached":
 		return d.boolean(&row.Cached)
 	}
-	if name := foldKey(key, rowKeys); name != "" {
+	name, ascii := foldKey(key, rowKeys)
+	if !ascii {
+		return member(d, key, 3, row)
+	}
+	if name != "" && name != string(key) { // a name the switch lacks is skipped, not folded again
 		return d.rowField(row, []byte(name))
 	}
 	return d.skip(3)
 }
 
-// foldKey returns the name in names that key equals under case folding.
-func foldKey(key []byte, names []string) string {
-	for _, n := range names {
-		if bytes.EqualFold(key, []byte(n)) {
-			return n
+// foldKey returns the name in names that an ASCII key equals under
+// case folding, or "" for none. A key holding other bytes reports
+// ascii false and is left to member: which non-ASCII runes
+// encoding/json folds onto ASCII letters is its own choice and need not
+// stay fixed across Go releases (go1.24 folds the Kelvin sign onto k
+// and the long s onto s, but not the dotted or dotless i onto i).
+func foldKey(key []byte, names []string) (name string, ascii bool) {
+	for _, c := range key {
+		if c >= utf8.RuneSelf {
+			return "", false
 		}
 	}
-	return ""
+	for _, n := range names {
+		if bytes.EqualFold(key, []byte(n)) {
+			return n, true
+		}
+	}
+	return "", true
+}
+
+// member decodes the value at the cursor, which sits at nesting depth
+// depth under a non-ASCII key, into *dst with json.Unmarshal of that one
+// member, so the key matches a field (or none) exactly as the building
+// toolchain's encoding/json matches it. No record the server writes has
+// such a key.
+func member[T any](d *recDecoder, key []byte, depth int, dst *T) bool {
+	start := d.off
+	if !d.skip(depth) {
+		return false
+	}
+	k, _ := json.Marshal(string(key)) // key is valid UTF-8, so this round-trips
+	obj := append(append(append(append([]byte{'{'}, k...), ':'), d.data[start:d.off]...), '}')
+	v := new(T) // a copy, so that dst does not escape in every call
+	*v = *dst
+	err := json.Unmarshal(obj, v)
+	*dst = *v
+	return err == nil
 }
 
 // object consumes the object at the cursor, calling field with each
@@ -289,21 +313,17 @@ func (d *recDecoder) object(field func(key []byte) bool) bool {
 }
 
 // skip consumes and validates the value at the cursor, which sits at
-// nesting depth depth.
+// nesting depth depth: an object or array there is the depth-th one
+// open.
 func (d *recDecoder) skip(depth int) bool {
 	switch d.peek() {
 	case '"':
 		_, _, ok := d.str()
 		return ok
 	case '{':
-		if depth > maxSkipDepth {
-			d.odd = true
-			return false
-		}
-		return d.object(func([]byte) bool { return d.skip(depth + 1) })
+		return depth <= maxDepth && d.object(func([]byte) bool { return d.skip(depth + 1) })
 	case '[':
-		if depth > maxSkipDepth {
-			d.odd = true
+		if depth > maxDepth {
 			return false
 		}
 		d.off++

@@ -42,16 +42,12 @@ func writtenRecords(t testing.TB) [][]byte {
 
 // FuzzDecodeRecord checks decodeRecord against json.Unmarshal into a
 // srvRec: on every input both accept or both reject, and on accept they
-// store reflect.DeepEqual records. Every record kind the server writes
-// must decode without the json.Unmarshal fallback. The committed corpus
-// holds the inputs no server writes: unknown, case-variant and
-// duplicate keys, nulls, type mismatches, bad numbers, escapes and
-// invalid UTF-8.
+// store reflect.DeepEqual records. The seeds are the records the server
+// writes; the committed corpus holds the inputs no server writes:
+// unknown, case-variant and duplicate keys, nulls, type mismatches, bad
+// numbers, escapes, invalid UTF-8 and deep nesting.
 func FuzzDecodeRecord(f *testing.F) {
 	for _, p := range writtenRecords(f) {
-		if _, odd := scanRecord(p, new(srvRec)); odd {
-			f.Errorf("server-written record fell back to json.Unmarshal: %s", p)
-		}
 		f.Add(p)
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -67,20 +63,61 @@ func FuzzDecodeRecord(f *testing.F) {
 	})
 }
 
-// TestRecordKeysMatchTags keeps the decoder's key lists in step with the
-// JSON names of the structs it fills; a field the lists miss would be
-// skipped on replay.
-func TestRecordKeysMatchTags(t *testing.T) {
-	for _, c := range []struct {
-		typ  reflect.Type
-		keys []string
-	}{{reflect.TypeOf(srvRec{}), recKeys}, {reflect.TypeOf(sweep.Row{}), rowKeys}} {
-		var tags []string
-		for i := 0; i < c.typ.NumField(); i++ {
-			tags = append(tags, strings.Split(c.typ.Field(i).Tag.Get("json"), ",")[0])
+// TestDecodeRecordEveryField decodes a record with every field of srvRec
+// and sweep.Row set, once with its keys as written and once upper-cased,
+// and wants what json.Unmarshal stores: a field that recField or
+// rowField lacks comes back zero, and one that recKeys or rowKeys lacks
+// does not match its upper-cased key.
+func TestDecodeRecordEveryField(t *testing.T) {
+	at := time.Date(2024, 5, 1, 12, 30, 0, 0, time.UTC)
+	row := sweep.Row{Benchmark: "gcc", Arch: "rfcache", Seed: 1, Instructions: 2, Cycles: 3,
+		IPC: 0.5, MispredRate: 0.25, ICacheMiss: 0.125, DCacheMiss: 0.0625, Key: "k", Cached: true}
+	rec := srvRec{Op: "end", ID: "s000001", Name: "n", Tenant: "t", Pri: 1, Par: 2, Spec: "{}",
+		Submitted: &at, Index: 3, Row: &row, State: "done", Finished: &at, Recovered: true}
+	for _, v := range []reflect.Value{reflect.ValueOf(rec), reflect.ValueOf(row)} {
+		for i := 0; i < v.NumField(); i++ {
+			if v.Field(i).IsZero() {
+				t.Fatalf("%s.%s is zero here; set it", v.Type(), v.Type().Field(i).Name)
+			}
 		}
-		if !reflect.DeepEqual(tags, c.keys) {
-			t.Errorf("%s: decoder keys %q, JSON names %q", c.typ, c.keys, tags)
+	}
+	written, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upper := written
+	for _, typ := range []reflect.Type{reflect.TypeOf(rec), reflect.TypeOf(row)} {
+		for i := 0; i < typ.NumField(); i++ {
+			k, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+			upper = bytes.ReplaceAll(upper, []byte(`"`+k+`":`), []byte(`"`+strings.ToUpper(k)+`":`))
+		}
+	}
+	for _, p := range [][]byte{written, upper} {
+		var got, want srvRec
+		if err := json.Unmarshal(p, &want); err != nil {
+			t.Fatal(err)
+		}
+		if !decodeRecord(p, &got) || !reflect.DeepEqual(got, want) {
+			t.Errorf("decodeRecord(%s)\n got %+v %+v\nwant %+v %+v", p, got, got.Row, want, want.Row)
+		}
+	}
+}
+
+// TestDecodeRecordNestingLimit skips unknown values nested right at
+// encoding/json's depth limit, at the top level and inside a row, and
+// wants json.Unmarshal's verdict on each.
+func TestDecodeRecordNestingLimit(t *testing.T) {
+	for _, c := range []struct{ prefix, suffix string }{
+		{`{"op":"row","x":`, `}`},        // the unknown value opens at depth 2
+		{`{"op":"row","row":{"x":`, `}}`}, // and here at depth 3
+	} {
+		for n := maxDepth - 3; n <= maxDepth; n++ {
+			p := []byte(c.prefix + strings.Repeat("[", n) + strings.Repeat("]", n) + c.suffix)
+			var got, want srvRec
+			ok, wantOK := decodeRecord(p, &got), json.Unmarshal(p, &want) == nil
+			if ok != wantOK || ok && !reflect.DeepEqual(got, want) {
+				t.Errorf("%s with %d arrays: decodeRecord accepts %t, json.Unmarshal %t", c.prefix, n, ok, wantOK)
+			}
 		}
 	}
 }
