@@ -108,7 +108,7 @@ func TestDecodeRecordEveryField(t *testing.T) {
 // wants json.Unmarshal's verdict on each.
 func TestDecodeRecordNestingLimit(t *testing.T) {
 	for _, c := range []struct{ prefix, suffix string }{
-		{`{"op":"row","x":`, `}`},        // the unknown value opens at depth 2
+		{`{"op":"row","x":`, `}`},         // the unknown value opens at depth 2
 		{`{"op":"row","row":{"x":`, `}}`}, // and here at depth 3
 	} {
 		for n := maxDepth - 3; n <= maxDepth; n++ {
