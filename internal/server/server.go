@@ -1129,6 +1129,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		m("rfserved_warehouse_queries_total", ws.Queries, "queries served by /v1/query")
 		m("rfserved_warehouse_query_seconds_total", fmt.Sprintf("%.6f", ws.QuerySeconds),
 			"cumulative seconds spent evaluating queries")
+		m("rfserved_warehouse_query_segments_total", ws.QuerySegments,
+			"segments scanned by queries (a repeated query scans only those sealed since it last ran)")
 		m("rfserved_warehouse_ingest_errors_total", ws.IngestErrors,
 			"rows or sweeps the warehouse failed to index (rebuild candidates, not data loss)")
 	}

@@ -244,6 +244,7 @@ func TestQueryGoldenParity(t *testing.T) {
 		"rfserved_warehouse_segments 1",
 		"rfserved_warehouse_queries_total",
 		"rfserved_warehouse_query_seconds_total",
+		"rfserved_warehouse_query_segments_total",
 		"rfserved_warehouse_ingest_errors_total 0",
 	} {
 		if !strings.Contains(metrics, want) {

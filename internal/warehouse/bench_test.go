@@ -3,6 +3,8 @@ package warehouse
 import (
 	"fmt"
 	"testing"
+
+	"repro/rf/api"
 )
 
 // queryMixDocs are the query-mix workload's four documents, in its
@@ -40,6 +42,48 @@ func BenchmarkEval(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkQuery measures the resumed path of Warehouse.Query on the
+// warehouse BenchmarkEval scans: each iteration registers one more
+// sealed copy of the 18×6 grid at the tail, then asks the four query-mix
+// documents again, so each query scans only the new segment. The copy
+// shares the first segment's columns and is registered as Seal's last
+// step registers one; BenchmarkSeal times the encode, append and fsync
+// before that step.
+func BenchmarkQuery(b *testing.B) {
+	jobs, rows := specJobsRows(b, gridSpecJSON, 0)
+	w := newWarehouse(b, b.TempDir(), Options{})
+	for i := 1; i <= 561; i++ {
+		sealRows(b, w, fmt.Sprintf("s%06d", i), "", jobs, rows)
+	}
+	var qs []*api.Query
+	for _, d := range queryMixDocs {
+		q, err := ParseQuery([]byte(d.doc))
+		if err != nil {
+			b.Fatal(err)
+		}
+		qs = append(qs, q)
+	}
+	ask := func() {
+		for _, q := range qs {
+			if _, err := w.Query(q, "", false); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	ask() // the first scan of each document reads all 561 segments
+	base := w.segs[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seg := *base
+		seg.Sweep = fmt.Sprintf("s%06d", 562+i)
+		w.mu.Lock()
+		w.put(&seg)
+		w.mu.Unlock()
+		ask()
 	}
 }
 

@@ -2,6 +2,7 @@ package warehouse
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/rf/api"
@@ -13,8 +14,9 @@ import (
 // panicking — over an empty warehouse, over a populated segment, and
 // over mixedSegments, whose dictionaries differ between segments. Over
 // mixedSegments the document's filters must also match the same rows
-// under every op, and its aggregate groups must count exactly those
-// rows. The committed corpus under testdata/fuzz seeds one document per
+// under every op, its aggregate groups must count exactly those rows,
+// and a scan advanced over a prefix of the segments, then over the
+// rest, must answer as one Eval. The committed corpus under testdata/fuzz seeds one document per
 // op, the rejection classes the unit tests pin, and multi-segment
 // group-by and filter mixes.
 func FuzzParseQuery(f *testing.F) {
@@ -75,6 +77,19 @@ func FuzzParseQuery(f *testing.F) {
 				t.Fatalf("op %s matched %d rows, op rows %d\ndoc: %s", op, res.Matched, matched, doc)
 			}
 			matched = res.Matched
+			// A scan resumed at a point the input picks answers as one
+			// Eval, even when it rendered an answer at that point.
+			k := len(doc) % (len(mixed) + 1)
+			e, err := newEvalState(&qo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.advance(mixed[:k])
+			e.result()
+			e.advance(mixed[k:])
+			if got, want := mustJSON(t, e.result()), mustJSON(t, res); got != want {
+				t.Fatalf("op %s resumed after %d segments:\n got %s\nwant %s\ndoc: %s", op, k, got, want, doc)
+			}
 			if op == api.QueryOpAggregate {
 				n := 0
 				for _, g := range res.Groups {
@@ -129,4 +144,13 @@ func FuzzDecodeSegment(f *testing.F) {
 			t.Fatalf("re-decoded segment encodes differently:\n%q\n%q", enc, again)
 		}
 	})
+}
+
+func mustJSON(t testing.TB, v any) string {
+	t.Helper()
+	out, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }

@@ -216,84 +216,111 @@ func safeHmean(xs []float64) float64 {
 // an arch's area) at the first matched row that carries it, exactly as
 // a row-at-a-time scan would.
 func Eval(segs []*Segment, q *api.Query) (*api.QueryResult, error) {
+	e, err := newEvalState(q)
+	if err != nil {
+		return nil, err
+	}
+	e.advance(segs)
+	return e.result(), nil
+}
+
+// evalState is one query's scan in progress: Eval is newEvalState, one
+// advance over every segment, and result. Each segment's contribution
+// depends only on the state the segments before it left, so advancing
+// over segs[:k] and then over segs[k:] leaves the state one advance over
+// segs would, and renders the same answer byte for byte.
+type evalState struct {
+	op, sweep     string
+	limit, offset int
+	f             *filter
+	g             *grouper
+	t             *ipcTable
+	matched       int
+	rows          []api.QueryRow
+}
+
+// newEvalState validates a query and returns its empty scan.
+func newEvalState(q *api.Query) (*evalState, error) {
 	if err := ValidateQuery(q); err != nil {
 		return nil, err
 	}
-	op := q.Op
-	if op == "" {
-		op = api.QueryOpRows
+	e := &evalState{op: q.Op, sweep: q.Sweep, limit: q.Limit, f: newFilter(q)}
+	if e.op == "" {
+		e.op = api.QueryOpRows
 	}
-	res := &api.QueryResult{Schema: api.Version, Op: op}
-
-	limit := q.Limit
-	if limit == 0 {
-		limit = DefaultLimit
+	if e.limit == 0 {
+		e.limit = DefaultLimit
 	}
-	if limit > MaxLimit {
-		limit = MaxLimit
+	if e.limit > MaxLimit {
+		e.limit = MaxLimit
 	}
-	offset := 0
 	if q.Cursor != "" {
 		v, err := strconv.ParseUint(q.Cursor, 10, 63)
 		if err != nil {
 			return nil, fmt.Errorf("warehouse: bad cursor %q", q.Cursor)
 		}
-		offset = int(v)
+		e.offset = int(v)
 	}
-
-	f := newFilter(q)
-	var (
-		g *grouper
-		t *ipcTable
-	)
-	switch op {
+	switch e.op {
 	case api.QueryOpAggregate:
-		g = newGrouper(q)
+		e.g = newGrouper(q)
 	case api.QueryOpSeries, api.QueryOpPareto:
-		t = &ipcTable{archIndex: map[string]int32{}, benchIndex: map[string]int32{}}
+		e.t = &ipcTable{archIndex: map[string]int32{}, benchIndex: map[string]int32{}}
 	}
+	return e, nil
+}
+
+// advance folds the matched rows of segs into the scan, in slice order.
+func (e *evalState) advance(segs []*Segment) {
 	for _, s := range segs {
-		if q.Sweep != "" && s.Sweep != q.Sweep {
+		if e.sweep != "" && s.Sweep != e.sweep {
 			continue
 		}
-		if !f.bind(s) {
+		if !e.f.bind(s) {
 			continue
 		}
-		switch op {
+		switch e.op {
 		case api.QueryOpRows:
 			var rowAt func(int) api.QueryRow
 			for i := 0; i < s.N; i++ {
-				if !f.match(i) {
+				if !e.f.match(i) {
 					continue
 				}
-				if res.Matched >= offset && len(res.Rows) < limit {
+				if e.matched >= e.offset && len(e.rows) < e.limit {
 					if rowAt == nil {
 						rowAt = rowReader(s)
 					}
-					res.Rows = append(res.Rows, rowAt(i))
+					e.rows = append(e.rows, rowAt(i))
 				}
-				res.Matched++
+				e.matched++
 			}
 		case api.QueryOpAggregate:
-			res.Matched += g.add(s, f)
+			e.matched += e.g.add(s, e.f)
 		case api.QueryOpSeries, api.QueryOpPareto:
-			res.Matched += t.add(s, f)
+			e.matched += e.t.add(s, e.f)
 		}
 	}
+}
 
-	switch op {
+// result renders the answer over the segments advanced so far. It leaves
+// the scan as it was and shares no mutable memory with it, so the scan
+// may advance further after its answer is handed out.
+func (e *evalState) result() *api.QueryResult {
+	res := &api.QueryResult{Schema: api.Version, Op: e.op, Matched: e.matched}
+	switch e.op {
 	case api.QueryOpRows:
-		if offset+len(res.Rows) < res.Matched && len(res.Rows) == limit {
-			res.NextCursor = strconv.Itoa(offset + len(res.Rows))
+		res.Rows = slices.Clone(e.rows)
+		if e.offset+len(e.rows) < e.matched && len(e.rows) == e.limit {
+			res.NextCursor = strconv.Itoa(e.offset + len(e.rows))
 		}
 	case api.QueryOpAggregate:
-		res.Groups = g.groups()
+		res.Groups = e.g.groups()
 	case api.QueryOpSeries:
-		res.Series = t.series()
+		res.Series = e.t.series()
 	case api.QueryOpPareto:
-		res.Frontier = t.frontier()
+		res.Frontier = e.t.frontier()
 	}
-	return res, nil
+	return res
 }
 
 // rowReader looks up a segment's columns once and returns a function
@@ -518,12 +545,14 @@ func (g *grouper) bucketAt(i int) *bucket {
 }
 
 // groups renders the aggregate buckets sorted by key, with each value
-// named "op_metric".
+// named "op_metric". It sorts a copy of the buckets, which stay in
+// creation order: the order a later sort's ties fall back to.
 func (g *grouper) groups() []api.QueryGroup {
-	sort.SliceStable(g.buckets, func(a, b int) bool { return g.buckets[a].joined < g.buckets[b].joined })
-	out := make([]api.QueryGroup, 0, len(g.buckets))
-	for _, b := range g.buckets {
-		qg := api.QueryGroup{Key: b.key, Count: b.count, Values: map[string]float64{}}
+	buckets := slices.Clone(g.buckets)
+	sort.SliceStable(buckets, func(a, b int) bool { return buckets[a].joined < buckets[b].joined })
+	out := make([]api.QueryGroup, 0, len(buckets))
+	for _, b := range buckets {
+		qg := api.QueryGroup{Key: slices.Clone(b.key), Count: b.count, Values: map[string]float64{}}
 		for mi, m := range g.metrics {
 			var v float64
 			switch m.Op {

@@ -36,12 +36,10 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/wal"
-	"repro/rf/api"
 )
 
 // dropMagic opens a drop record. It differs from segMagic, so a drop
@@ -66,6 +64,10 @@ type Stats struct {
 	// evaluation time.
 	Queries      uint64
 	QuerySeconds float64
+	// QuerySegments counts the segments queries scanned: about all of
+	// them per query that scans afresh, none per query that resumes a
+	// scan with no seal since.
+	QuerySegments uint64
 	// IngestErrors counts rows or sweeps the warehouse failed to index;
 	// the store remains authoritative, so these are rebuild candidates,
 	// not data loss.
@@ -83,10 +85,17 @@ type Warehouse struct {
 	builders map[string]*Builder
 	rows     int
 	bytes    int64
+	// epoch counts the changes to segs other than an append at its tail.
+	// A cached scan that has consumed segs[:n] resumes only within its
+	// epoch, while those n segments are unchanged (querycache.go).
+	epoch uint64
 
-	queries      atomic.Uint64
-	queryNanos   atomic.Int64
-	ingestErrors atomic.Uint64
+	cache queryCache
+
+	queries       atomic.Uint64
+	queryNanos    atomic.Int64
+	querySegments atomic.Uint64
+	ingestErrors  atomic.Uint64
 }
 
 // Open replays the segment log under dir, creating the directory if
@@ -220,7 +229,8 @@ func (w *Warehouse) find(sweepID string) (int, bool) {
 	return i, i < len(w.segs) && w.segs[i].Sweep == sweepID
 }
 
-// put registers a segment, replacing any segment of the same sweep.
+// put registers a segment, replacing any segment of the same sweep. It
+// bumps the epoch unless the segment lands at the tail.
 func (w *Warehouse) put(seg *Segment) {
 	i, ok := w.find(seg.Sweep)
 	if ok {
@@ -230,17 +240,22 @@ func (w *Warehouse) put(seg *Segment) {
 	} else {
 		w.segs = slices.Insert(w.segs, i, seg)
 	}
+	if i < len(w.segs)-1 || ok {
+		w.epoch++
+	}
 	w.rows += seg.N
 	w.bytes += int64(seg.size)
 }
 
-// remove drops a sweep's segment, reporting whether there was one.
+// remove drops a sweep's segment, reporting whether there was one. A
+// drop bumps the epoch.
 func (w *Warehouse) remove(sweepID string) bool {
 	i, ok := w.find(sweepID)
 	if ok {
 		w.rows -= w.segs[i].N
 		w.bytes -= int64(w.segs[i].size)
 		w.segs = slices.Delete(w.segs, i, i+1)
+		w.epoch++
 	}
 	return ok
 }
@@ -392,26 +407,6 @@ func SegmentFromRows(sweepID, name string, jobs []sweep.Job, rows []sweep.Row) (
 	return b.Segment()
 }
 
-// Query evaluates one query document over the sealed segments. When
-// tenanted, only segments owned by owner are visible — the same
-// ownership rule as the results stream.
-func (w *Warehouse) Query(q *api.Query, owner string, tenanted bool) (*api.QueryResult, error) {
-	start := time.Now()
-	w.mu.Lock()
-	segs := make([]*Segment, 0, len(w.segs))
-	for _, seg := range w.segs {
-		if tenanted && seg.Tenant != owner {
-			continue
-		}
-		segs = append(segs, seg)
-	}
-	w.mu.Unlock()
-	res, err := Eval(segs, q)
-	w.queries.Add(1)
-	w.queryNanos.Add(int64(time.Since(start)))
-	return res, err
-}
-
 // Close closes the log. Segments sealed after Close are served from
 // memory only and counted as ingest errors.
 func (w *Warehouse) Close() error {
@@ -425,6 +420,7 @@ func (w *Warehouse) Stats() Stats {
 	w.mu.Unlock()
 	st.Queries = w.queries.Load()
 	st.QuerySeconds = float64(w.queryNanos.Load()) / 1e9
+	st.QuerySegments = w.querySegments.Load()
 	st.IngestErrors = w.ingestErrors.Load()
 	return st
 }
