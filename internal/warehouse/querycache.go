@@ -122,11 +122,8 @@ func (w *Warehouse) Query(q *api.Query, owner string, tenanted bool) (*api.Query
 	defer e.mu.Unlock()
 
 	w.mu.Lock()
-	if e.epoch != w.epoch {
-		e.state = nil
-	}
-	if e.state == nil {
-		e.epoch, e.done = w.epoch, 0
+	if e.state == nil || e.epoch != w.epoch {
+		e.state, e.epoch, e.done = nil, w.epoch, 0
 	}
 	tail := make([]*Segment, 0, len(w.segs)-e.done)
 	for _, seg := range w.segs[e.done:] {

@@ -64,9 +64,9 @@ type Stats struct {
 	// evaluation time.
 	Queries      uint64
 	QuerySeconds float64
-	// QuerySegments counts the segments queries scanned: about all of
-	// them per query that scans afresh, none per query that resumes a
-	// scan with no seal since.
+	// QuerySegments counts the segments queries scanned: every segment
+	// it may see for a query that scans afresh, only those sealed since
+	// its last run for one that resumes.
 	QuerySegments uint64
 	// IngestErrors counts rows or sweeps the warehouse failed to index;
 	// the store remains authoritative, so these are rebuild candidates,
