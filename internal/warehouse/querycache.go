@@ -91,12 +91,13 @@ func (c *queryCache) charge(key queryKey, e *queryEntry) {
 //
 // The answer is Eval's over the visible segments, byte for byte, but a
 // document asked before resumes its scan: only the segments sealed
-// since then are scanned. That holds while the segments the scan has
-// consumed are still the prefix of w.segs, which a seal at the tail of
-// the sweep-id order keeps; any other change bumps w.epoch, and a scan
-// of an older epoch starts over. The cache keys the document by its
-// json.Marshal encoding and evaluates that encoding, so a string field
-// that is not valid UTF-8 reads as U+FFFD, as it would over the wire.
+// since then are scanned. Resuming is exact while the segments the scan
+// has consumed are still a prefix of the sweep-id order, which a seal
+// at the tail keeps; any other change (a re-seal, a drop, a rebuild
+// into the middle) bumps the warehouse's epoch, and a scan of an older
+// epoch starts over. The cache keys the document by its json.Marshal
+// encoding and evaluates that encoding, so a string field that is not
+// valid UTF-8 reads as U+FFFD, as it would over the wire.
 func (w *Warehouse) Query(q *api.Query, owner string, tenanted bool) (*api.QueryResult, error) {
 	start := time.Now()
 	defer func() {
