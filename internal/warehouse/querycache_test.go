@@ -258,15 +258,12 @@ func checkQueryCache(t *testing.T, w *Warehouse, when string) {
 
 // cached reports whether the cache holds a scan of doc for anyone on an
 // untenanted server.
-func cached(w *Warehouse, doc string) bool {
-	q, err := ParseQuery([]byte(doc))
-	if err != nil {
-		panic(err)
-	}
-	key, _ := json.Marshal(q)
+func cached(t *testing.T, w *Warehouse, doc string) bool {
+	t.Helper()
+	key := mustJSON(t, parseDocs(t, []string{doc})[0])
 	w.cache.mu.Lock()
 	defer w.cache.mu.Unlock()
-	return w.cache.entries[queryKey{doc: string(key)}] != nil
+	return w.cache.entries[queryKey{doc: key}] != nil
 }
 
 // TestQueryCacheBounded churns ten times the cache's capacity of
@@ -313,11 +310,11 @@ func TestQueryCacheBounded(t *testing.T) {
 		checkQueryCache(t, w, fmt.Sprintf("after full page %d", c))
 	}
 	for c := 0; c < full; c++ {
-		if !cached(w, page(c)) {
+		if !cached(t, w, page(c)) {
 			t.Errorf("page from cursor %d within the budget was not kept", c)
 		}
 	}
-	if cached(w, page(full)) {
+	if cached(t, w, page(full)) {
 		t.Errorf("page from cursor %d past the row budget was kept", full)
 	}
 
