@@ -8,12 +8,14 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -268,91 +270,144 @@ func getMetrics(t *testing.T, base string) string {
 }
 
 // TestWarehouseRebuildFromStore pins the "never authoritative"
-// invariant: delete the warehouse directory, restart on the same
-// journal and store, and every query answers byte-identically without
-// one job re-simulating.
+// invariant: lose warehouse data, restart on the same journal and
+// store, and every query answers byte-identically without one job
+// re-simulating. Two losses are covered: the whole warehouse directory,
+// and the last sealed segment's log record, which is what a machine
+// crash inside the log's group-commit window drops.
 func TestWarehouseRebuildFromStore(t *testing.T) {
-	walDir := t.TempDir()
-	storeDir := t.TempDir()
-	whDir := t.TempDir()
+	for _, tc := range []struct {
+		name   string
+		sweeps int
+		lose   func(t *testing.T, whDir string)
+	}{
+		{"directory lost", 1, func(t *testing.T, whDir string) {
+			if err := os.RemoveAll(whDir); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.MkdirAll(whDir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"last seal lost", 2, cutLastLogRecord},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			walDir := t.TempDir()
+			storeDir := t.TempDir()
+			whDir := t.TempDir()
 
-	st1, err := store.Open(storeDir, store.Options{})
+			st1, err := store.Open(storeDir, store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			j1 := openWAL(t, walDir)
+			wh1 := newWarehouse(t, whDir)
+			srv1 := New(Config{Cache: st1, Simulate: fakeSim, Journal: j1, Warehouse: wh1})
+			ts1 := httptest.NewServer(srv1)
+			var ids []string
+			for range tc.sweeps {
+				ack := submit(t, ts1.URL, warehouseSpec)
+				waitStatus(t, ts1.URL, ack.StatusURL, func(_ int, state string) bool { return state == "done" })
+				assertIndexed(t, wh1, ack.ID)
+				ids = append(ids, ack.ID)
+			}
+
+			queries := []string{
+				`{"op": "rows"}`,
+				`{"op": "series"}`,
+				`{"op": "pareto"}`,
+				`{"op": "aggregate", "group_by": ["arch"], "metrics": [{"op": "mean", "metric": "ipc"}]}`,
+			}
+			before := make([]string, len(queries))
+			for i, doc := range queries {
+				resp := queryHTTP(t, ts1.URL, "", doc)
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("query %s returned %d: %s", doc, resp.StatusCode, body)
+				}
+				before[i] = string(body)
+			}
+
+			// Shut down cleanly, then lose warehouse data.
+			ts1.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			srv1.Shutdown(ctx)
+			cancel()
+			j1.Close()
+			if err := wh1.Close(); err != nil {
+				t.Fatal(err)
+			}
+			tc.lose(t, whDir)
+
+			var resims atomic.Int64
+			st2, err := store.Open(storeDir, store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			j2 := openWAL(t, walDir)
+			wh2 := newWarehouse(t, whDir)
+			if last := ids[len(ids)-1]; wh2.Has(last) {
+				t.Fatalf("sweep %s survived the loss; nothing is left to rebuild", last)
+			}
+			for _, id := range ids[:len(ids)-1] {
+				assertIndexed(t, wh2, id) // sealed before the lost record
+			}
+			srv2 := New(Config{Cache: st2, Journal: j2, Warehouse: wh2,
+				Simulate: func(j sweep.Job) sim.Result { resims.Add(1); return fakeSim(j) }})
+			ts2 := httptest.NewServer(srv2)
+			t.Cleanup(func() {
+				ts2.Close()
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				srv2.Shutdown(ctx)
+				j2.Close()
+			})
+			for _, id := range ids {
+				assertIndexed(t, wh2, id)
+			}
+
+			for i, doc := range queries {
+				resp := queryHTTP(t, ts2.URL, "", doc)
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("rebuilt query %s returned %d: %s", doc, resp.StatusCode, body)
+				}
+				if string(body) != before[i] {
+					t.Errorf("query %s differs after rebuild:\nbefore %s\nafter  %s", doc, before[i], body)
+				}
+			}
+			if got := resims.Load(); got != 0 {
+				t.Errorf("rebuild re-simulated %d jobs, want 0", got)
+			}
+		})
+	}
+}
+
+// cutLastLogRecord truncates the warehouse log's newest segment file
+// before its last record, walking the [4B length][4B CRC][payload]
+// frames from the start of the file.
+func cutLastLogRecord(t *testing.T, whDir string) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(whDir, "seg-*.wal"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no log segment in %s (err %v)", whDir, err)
+	}
+	path := segs[len(segs)-1] // names are fixed-width hex, so this is the newest
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j1 := openWAL(t, walDir)
-	wh1 := newWarehouse(t, whDir)
-	srv1 := New(Config{Cache: st1, Simulate: fakeSim, Journal: j1, Warehouse: wh1})
-	ts1 := httptest.NewServer(srv1)
-	ack := submit(t, ts1.URL, warehouseSpec)
-	waitStatus(t, ts1.URL, ack.StatusURL, func(_ int, state string) bool { return state == "done" })
-	assertIndexed(t, wh1, ack.ID)
-
-	queries := []string{
-		`{"op": "rows"}`,
-		`{"op": "series"}`,
-		`{"op": "pareto"}`,
-		`{"op": "aggregate", "group_by": ["arch"], "metrics": [{"op": "mean", "metric": "ipc"}]}`,
+	last := -1
+	for off := 0; off+8 <= len(data); off += 8 + int(binary.LittleEndian.Uint32(data[off:])) {
+		last = off
 	}
-	before := make([]string, len(queries))
-	for i, doc := range queries {
-		resp := queryHTTP(t, ts1.URL, "", doc)
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("query %s returned %d: %s", doc, resp.StatusCode, body)
-		}
-		before[i] = string(body)
+	if last < 0 {
+		t.Fatalf("%s holds no record", path)
 	}
-
-	// Shut down cleanly, then lose the warehouse directory entirely.
-	ts1.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	srv1.Shutdown(ctx)
-	cancel()
-	j1.Close()
-	if err := wh1.Close(); err != nil {
+	if err := os.Truncate(path, int64(last)); err != nil {
 		t.Fatal(err)
-	}
-	if err := os.RemoveAll(whDir); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(whDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-
-	var resims atomic.Int64
-	st2, err := store.Open(storeDir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2 := openWAL(t, walDir)
-	wh2 := newWarehouse(t, whDir)
-	srv2 := New(Config{Cache: st2, Journal: j2, Warehouse: wh2,
-		Simulate: func(j sweep.Job) sim.Result { resims.Add(1); return fakeSim(j) }})
-	ts2 := httptest.NewServer(srv2)
-	t.Cleanup(func() {
-		ts2.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv2.Shutdown(ctx)
-		j2.Close()
-	})
-	assertIndexed(t, wh2, ack.ID)
-
-	for i, doc := range queries {
-		resp := queryHTTP(t, ts2.URL, "", doc)
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("rebuilt query %s returned %d: %s", doc, resp.StatusCode, body)
-		}
-		if string(body) != before[i] {
-			t.Errorf("query %s differs after rebuild:\nbefore %s\nafter  %s", doc, before[i], body)
-		}
-	}
-	if got := resims.Load(); got != 0 {
-		t.Errorf("rebuild re-simulated %d jobs, want 0", got)
 	}
 }
 

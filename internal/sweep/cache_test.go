@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -189,6 +190,74 @@ func TestProgressCarriesResult(t *testing.T) {
 		row := RowOf(jobs[e.Index], Outcome{Result: e.Result, Key: e.Key, Cached: e.Cached})
 		if row.Cycles != e.Result.Cycles || row.Key != string(e.Key) {
 			t.Errorf("RowOf(progress) mismatch for job %d", e.Index)
+		}
+	}
+}
+
+// gatedCache serves from its Cache, but its Get for key gate waits
+// until open is closed.
+type gatedCache struct {
+	Cache
+	gate Key
+	open chan struct{}
+}
+
+func (c *gatedCache) Get(k Key) (sim.Result, bool) {
+	if k == c.gate {
+		<-c.open
+	}
+	return c.Cache.Get(k)
+}
+
+// TestRunnerStreamsCacheHits pins that the runner reports a cache hit as
+// its scan resolves it: the cache's Get for the second hit returns only
+// once the first hit's progress event has fired. Every hit is still
+// reported before the simulated job, and a within-batch duplicate after
+// the job it duplicates.
+func TestRunnerStreamsCacheHits(t *testing.T) {
+	jobs := []Job{fakeJob(0), fakeJob(1), fakeJob(2), fakeJob(1)}
+	mem := NewMemCache()
+	for _, i := range []int{0, 2} {
+		mem.Put(jobs[i].Key(), sim.Result{Cycles: jobs[i].Seed})
+	}
+	c := &gatedCache{Cache: mem, gate: jobs[2].Key(), open: make(chan struct{})}
+	r := NewRunner(RunnerConfig{
+		Cache:    c,
+		Simulate: func(j Job) sim.Result { return sim.Result{Cycles: j.Seed} },
+	})
+	var events []Progress
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.RunOutcomesContext(context.Background(), jobs, 1, func(p Progress) {
+			events = append(events, p)
+			if p.Index == 0 {
+				close(c.open)
+			}
+		})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first cache hit was not reported before the scan looked up the next")
+	}
+	want := []struct {
+		index  int
+		cached bool
+	}{{0, true}, {2, true}, {1, false}, {3, true}}
+	if len(events) != len(want) {
+		t.Fatalf("%d events, want %d", len(events), len(want))
+	}
+	for n, e := range events {
+		if e.Index != want[n].index || e.Cached != want[n].cached || e.Done != n+1 {
+			t.Errorf("event %d: job %d cached %v done %d, want job %d cached %v done %d",
+				n, e.Index, e.Cached, e.Done, want[n].index, want[n].cached, n+1)
+		}
+		if e.Result.Cycles != jobs[e.Index].Seed {
+			t.Errorf("event %d carries result %d, want %d", n, e.Result.Cycles, jobs[e.Index].Seed)
 		}
 	}
 }

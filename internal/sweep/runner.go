@@ -191,15 +191,16 @@ func (r *Runner) RunOutcomesContext(ctx context.Context, jobs []Job, parallelism
 	}
 	outs := make([]Outcome, len(jobs))
 
-	// Resolve each job against the cache, and group the rest by key so
-	// within-batch duplicates simulate once. waiters holds, per unique
-	// in-flight key, the later indices that share it; they are hits served
-	// when the first index finishes. The map is fully built before any
-	// worker starts and each key's list is read only by the worker that
-	// owns that key, so it needs no locking.
+	// Resolve each job against the cache, reporting each hit as the scan
+	// finds it, so every hit is reported before any simulation starts.
+	// The rest are grouped by key so within-batch duplicates simulate
+	// once. waiters holds, per unique in-flight key, the later indices
+	// that share it; they are hits served when the first index finishes.
+	// The map is fully built before any worker starts and each key's list
+	// is read only by the worker that owns that key, so it needs no
+	// locking.
 	var unique []int
 	waiters := make(map[Key][]int)
-	fromCache := make([]bool, len(jobs))
 	done := 0
 	var progressMu sync.Mutex
 	emit := func(i int, cached bool) {
@@ -222,8 +223,8 @@ func (r *Runner) RunOutcomesContext(ctx context.Context, jobs []Job, parallelism
 			if res, ok := r.cache.Get(k); ok {
 				outs[i].Result = res
 				outs[i].Cached = true
-				fromCache[i] = true
 				scanned.Hits++
+				emit(i, true)
 				continue
 			}
 			if _, dup := waiters[k]; dup {
@@ -241,14 +242,6 @@ func (r *Runner) RunOutcomesContext(ctx context.Context, jobs []Job, parallelism
 	r.stats.Hits += scanned.Hits
 	r.stats.Misses += scanned.Misses
 	r.mu.Unlock()
-
-	// Report jobs resolved from the cache before any simulation starts;
-	// within-batch duplicates are reported when their unique job finishes.
-	for i := range jobs {
-		if fromCache[i] {
-			emit(i, true)
-		}
-	}
 
 	// Each unique job takes one parallelism slot before its goroutine
 	// starts, so a batch never holds more than parallelism goroutines; a

@@ -11,6 +11,14 @@ func (w *WAL) SetWriteHook(f func(f *os.File, b []byte) (int, error)) {
 	w.write = f
 }
 
+// SetSyncHook replaces the step that fsyncs the active segment, letting
+// tests hold an fsync open or fail it. Tests only.
+func (w *WAL) SetSyncHook(f func(f *os.File) error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.sync = f
+}
+
 // SetRenameHook replaces the rename step that commits a finished
 // snapshot temp file, letting crash-consistency tests simulate a
 // compactor killed mid-commit. Tests only.

@@ -23,7 +23,9 @@
 // record survives a crash of the process as soon as Append returns — and
 // a background group-commit goroutine fsyncs the active segment every
 // SyncInterval, so a machine crash loses at most one sync window. Sync
-// forces an fsync for callers that need a hard barrier.
+// forces an fsync for callers that need a hard barrier. The fsync runs
+// outside the append lock, so appends never wait for the disk; only
+// segment rotation and Compact sync under it, as barriers.
 //
 // Recovery (Open) tolerates torn tails: the record chain is replayed
 // until the first frame that is short, oversized, or fails its CRC, the
@@ -82,8 +84,10 @@ type Stats struct {
 	// read-only once a write error leaves the tail in an unknown state).
 	Appends      uint64 `json:"appends"`
 	AppendErrors uint64 `json:"append_errors"`
-	// Fsyncs counts group-commit and explicit syncs that reached fsync(2).
-	Fsyncs uint64 `json:"fsyncs"`
+	// Fsyncs counts group-commit and explicit syncs whose fsync(2)
+	// succeeded; FsyncDuration is the time they spent in it.
+	Fsyncs        uint64        `json:"fsyncs"`
+	FsyncDuration time.Duration `json:"fsync_duration"`
 	// Replayed is how many records Open recovered (after the snapshot);
 	// ReplayDuration is how long recovery took.
 	Replayed       uint64        `json:"replayed"`
@@ -108,12 +112,17 @@ type WAL struct {
 	dir  string
 	opts Options
 
-	// write commits one framed record to the active segment and rename
-	// commits a finished snapshot temp file; the crash-consistency tests
-	// swap them to cut the journal down mid-operation.
+	// write commits one framed record to the active segment, sync
+	// fsyncs it and rename commits a finished snapshot temp file; the
+	// crash-consistency tests swap them to cut the journal down
+	// mid-operation or to hold an fsync open.
 	write  func(f *os.File, b []byte) (int, error)
+	sync   func(f *os.File) error
 	rename func(oldpath, newpath string) error
 
+	// syncMu serializes Sync calls, whose fsync runs outside mu. Lock
+	// order: syncMu, then mu.
+	syncMu    sync.Mutex
 	mu        sync.Mutex
 	f         *os.File // active segment; nil until the next Append opens one
 	segBytes  int64    // bytes in the active segment
@@ -146,6 +155,7 @@ func Open(dir string, opts Options) (*WAL, error) {
 		dir:    dir,
 		opts:   opts,
 		write:  func(f *os.File, b []byte) (int, error) { return f.Write(b) },
+		sync:   (*os.File).Sync,
 		rename: os.Rename,
 		next:   1,
 		syncc:  make(chan struct{}, 1),
@@ -440,22 +450,49 @@ func (w *WAL) rotateLocked() {
 	w.segBytes = 0
 }
 
-// Sync forces an fsync of the active segment.
+// Sync forces an fsync of the active segment. The fsync runs after mu is
+// released, so Appends proceed meanwhile; one that lands during it marks
+// the segment dirty for the next Sync.
 func (w *WAL) Sync() error {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
+	w.mu.Lock()
+	f, sync := w.f, w.sync
+	if !w.dirty || f == nil {
+		w.mu.Unlock()
+		return nil
+	}
+	w.dirty = false
+	w.mu.Unlock()
+	t0 := time.Now()
+	err := sync(f)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.syncLocked()
+	if err != nil {
+		// A rotation or Compact that retired f meanwhile made its
+		// records durable under mu; only the active segment is unsynced.
+		if f == w.f {
+			w.dirty = true
+		}
+		return err
+	}
+	w.stats.Fsyncs++
+	w.stats.FsyncDuration += time.Since(t0)
+	return nil
 }
 
+// syncLocked is the barrier sync of rotation and Compact, under mu.
 func (w *WAL) syncLocked() error {
 	if !w.dirty || w.f == nil {
 		return nil
 	}
-	if err := w.f.Sync(); err != nil {
+	t0 := time.Now()
+	if err := w.sync(w.f); err != nil {
 		return err
 	}
 	w.dirty = false
 	w.stats.Fsyncs++
+	w.stats.FsyncDuration += time.Since(t0)
 	return nil
 }
 
@@ -469,15 +506,16 @@ func (w *WAL) syncLoop() {
 			w.Sync()
 			return
 		case <-w.syncc:
-			if w.opts.SyncInterval > 0 {
-				t := time.NewTimer(w.opts.SyncInterval)
-				select {
-				case <-t.C:
-				case <-w.stop:
-					t.Stop()
-					w.Sync()
-					return
-				}
+			if w.opts.SyncInterval < 0 {
+				continue
+			}
+			t := time.NewTimer(w.opts.SyncInterval)
+			select {
+			case <-t.C:
+			case <-w.stop:
+				t.Stop()
+				w.Sync()
+				return
 			}
 			w.Sync()
 		}

@@ -3,12 +3,15 @@ package wal_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/wal"
 )
@@ -345,6 +348,71 @@ func TestWALFailedWriteTruncatesBack(t *testing.T) {
 				t.Errorf("failed write left torn bytes on disk: %+v", st)
 			}
 		})
+	}
+}
+
+// TestWALAppendDuringSync pins that fsync runs outside the append lock:
+// while a Sync is held inside its fsync, an Append returns and Index
+// advances. A failed fsync leaves the journal dirty, the next Sync
+// retries it, and Stats.Fsyncs counts only the fsyncs that succeed.
+func TestWALAppendDuringSync(t *testing.T) {
+	w := mustOpen(t, t.TempDir(), Options{SyncInterval: -1})
+	defer w.Close()
+	appendN(t, w, 0, 1)
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	w.SetSyncHook(func(f *os.File) error {
+		once.Do(func() { close(entered) })
+		<-release
+		return f.Sync()
+	})
+	synced := make(chan error, 1)
+	go func() { synced <- w.Sync() }()
+	<-entered
+	appended := make(chan error, 1)
+	go func() {
+		_, err := w.Append(payload(1))
+		appended <- err
+	}()
+	select {
+	case err := <-appended:
+		if err != nil {
+			t.Fatalf("Append during fsync: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("Append waited for an fsync in progress")
+	}
+	if got := w.Index(); got != 2 {
+		t.Errorf("Index during fsync = %d, want 2", got)
+	}
+	close(release)
+	if err := <-synced; err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	if st := w.Stats(); st.Fsyncs != 1 {
+		t.Errorf("after one fsync: %d fsyncs counted, want 1", st.Fsyncs)
+	}
+
+	// The append that landed during the fsync is unsynced. A failing
+	// fsync keeps it so, and the next Sync retries.
+	w.SetSyncHook(func(*os.File) error { return errors.New("injected: fsync failed") })
+	if err := w.Sync(); err == nil {
+		t.Fatal("Sync with a failing fsync returned nil")
+	}
+	if st := w.Stats(); st.Fsyncs != 1 {
+		t.Errorf("failed fsync counted: %d fsyncs, want 1", st.Fsyncs)
+	}
+	w.SetSyncHook((*os.File).Sync)
+	for i := 0; i < 2; i++ { // the second Sync finds the segment clean
+		if err := w.Sync(); err != nil {
+			t.Fatalf("Sync after a failed fsync: %v", err)
+		}
+		if st := w.Stats(); st.Fsyncs != 2 || st.FsyncDuration <= 0 {
+			t.Errorf("Sync %d after the failure: %d fsyncs in %v, want 2 in a positive time",
+				i+1, st.Fsyncs, st.FsyncDuration)
+		}
 	}
 }
 

@@ -50,8 +50,8 @@ func BenchmarkEval(b *testing.B) {
 // sealed copy of the 18×6 grid at the tail, then asks the four query-mix
 // documents again, so each query scans only the new segment. The copy
 // shares the first segment's columns and is registered as Seal's last
-// step registers one; BenchmarkSeal times the encode, append and fsync
-// before that step.
+// step registers one; BenchmarkSeal times the encode and append before
+// that step.
 func BenchmarkQuery(b *testing.B) {
 	jobs, rows := specJobsRows(b, gridSpecJSON, 0)
 	w := newWarehouse(b, b.TempDir(), Options{})
@@ -89,7 +89,8 @@ func BenchmarkQuery(b *testing.B) {
 
 // BenchmarkSeal measures one sweep's ingest: Begin, one Add per row of
 // the 18×6 grid, and Seal, which encodes the segment, appends it to the
-// log, registers it beside the segments sealed before it and syncs.
+// log and registers it beside the segments sealed before it. The fsync
+// is left to the log's group commit.
 func BenchmarkSeal(b *testing.B) {
 	jobs, rows := specJobsRows(b, gridSpecJSON, 0)
 	w := newWarehouse(b, b.TempDir(), Options{})

@@ -10,9 +10,12 @@
 // never by completion order — and sealed when the sweep finishes.
 //
 // Sealed segments persist as records of one append-only log
-// (internal/wal) in the warehouse directory. A record is either a
-// segment's encoding or a drop record (dropMagic, then the sweep id)
-// written when a reused sweep id retires the old segment. Open replays
+// (internal/wal) in the warehouse directory, made durable by its group
+// commit: a machine crash can lose the seals of the last sync window
+// (2 ms). A journaled server rebuilds those sweeps at its next start; a
+// server without a journal loses them. A record is either a segment's
+// encoding or a drop record (dropMagic, then the sweep id) written when
+// a reused sweep id retires the old segment. Open replays
 // the records in order: a later segment for a sweep id replaces the
 // earlier one and a drop removes it. The bytes of replaced and dropped
 // records are dead; when Open finds more dead bytes than live ones, it
@@ -105,7 +108,7 @@ type Warehouse struct {
 // (*.seg) are not read; they are counted in one log line and left in
 // place.
 func Open(dir string, opts Options) (*Warehouse, error) {
-	log, err := wal.Open(dir, wal.Options{SyncInterval: -1}) // Seal syncs
+	log, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("warehouse: %w", err)
 	}
@@ -297,10 +300,12 @@ func (w *Warehouse) Add(sweepID string, idx int, j sweep.Job, row sweep.Row) {
 	}
 }
 
-// Seal freezes a finished sweep's builder into a segment and persists
-// it, returning once the segment is durable. Sealing a sweep with no
-// open builder is a no-op. An incomplete builder is an ingest error: the
-// sweep stays unindexed rather than serving partial aggregates.
+// Seal freezes a finished sweep's builder into a segment, appends it to
+// the log and registers it for queries, returning once both are done:
+// the segment then survives a crash of the process, and the log's group
+// commit makes it durable within one sync window. Sealing a sweep with
+// no open builder is a no-op. An incomplete builder is an ingest error:
+// the sweep stays unindexed rather than serving partial aggregates.
 func (w *Warehouse) Seal(sweepID string) error {
 	w.mu.Lock()
 	b := w.builders[sweepID]
@@ -312,9 +317,9 @@ func (w *Warehouse) Seal(sweepID string) error {
 	return w.install(b)
 }
 
-// install freezes a builder, logs the segment, registers it, and syncs
-// the log. The append and the registration share w.mu, so the log holds
-// segments in the order memory saw them; the fsync runs outside it.
+// install freezes a builder, logs the segment and registers it. The
+// append and the registration share w.mu, so the log holds segments in
+// the order memory saw them.
 func (w *Warehouse) install(b *Builder) error {
 	seg, err := b.Segment()
 	if err != nil {
@@ -328,9 +333,6 @@ func (w *Warehouse) install(b *Builder) error {
 	_, err = w.log.Append(data)
 	w.put(seg)
 	w.mu.Unlock()
-	if err == nil {
-		err = w.log.Sync()
-	}
 	if err != nil {
 		// Serve the segment from memory anyway: queries stay correct this
 		// process lifetime, and the next restart rebuilds from the store.
