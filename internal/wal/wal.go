@@ -457,7 +457,7 @@ func (w *WAL) Sync() error {
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
 	w.mu.Lock()
-	f, sync := w.f, w.sync
+	f, fsync := w.f, w.sync
 	if !w.dirty || f == nil {
 		w.mu.Unlock()
 		return nil
@@ -465,7 +465,7 @@ func (w *WAL) Sync() error {
 	w.dirty = false
 	w.mu.Unlock()
 	t0 := time.Now()
-	err := sync(f)
+	err := fsync(f)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err != nil {

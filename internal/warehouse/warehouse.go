@@ -15,11 +15,11 @@
 // (2 ms). A journaled server rebuilds those sweeps at its next start; a
 // server without a journal loses them. A record is either a segment's
 // encoding or a drop record (dropMagic, then the sweep id) written when
-// a reused sweep id retires the old segment. Open replays
-// the records in order: a later segment for a sweep id replaces the
-// earlier one and a drop removes it. The bytes of replaced and dropped
-// records are dead; when Open finds more dead bytes than live ones, it
-// compacts the log down to a snapshot of the live segments.
+// a reused sweep id retires the old segment. Open replays the records
+// in order: a later segment for a sweep id replaces the earlier one and
+// a drop removes it. The bytes of replaced and dropped records are
+// dead; when Open finds more dead bytes than live ones, it compacts the
+// log down to a snapshot of the live segments.
 //
 // The warehouse is never authoritative: every column is a pure function
 // of (job, result), both recoverable from the content-addressed store,
