@@ -1107,8 +1107,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			func(n string) any { return stats[n].AppendErrors })
 		walRow("rfserved_wal_fsyncs_total", "group-commit fsync batches",
 			func(n string) any { return stats[n].Fsyncs })
-		walRow("rfserved_wal_fsync_seconds_total", "seconds spent in group-commit and barrier fsyncs",
-			func(n string) any { return fmt.Sprintf("%.6f", stats[n].FsyncDuration.Seconds()) })
 		walRow("rfserved_wal_replayed_records", "records replayed at the last startup",
 			func(n string) any { return stats[n].Replayed })
 		walRow("rfserved_wal_replay_seconds", "wall-clock seconds the last replay took",

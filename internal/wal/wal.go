@@ -85,9 +85,8 @@ type Stats struct {
 	Appends      uint64 `json:"appends"`
 	AppendErrors uint64 `json:"append_errors"`
 	// Fsyncs counts group-commit and explicit syncs whose fsync(2)
-	// succeeded; FsyncDuration is the time they spent in it.
-	Fsyncs        uint64        `json:"fsyncs"`
-	FsyncDuration time.Duration `json:"fsync_duration"`
+	// succeeded.
+	Fsyncs uint64 `json:"fsyncs"`
 	// Replayed is how many records Open recovered (after the snapshot);
 	// ReplayDuration is how long recovery took.
 	Replayed       uint64        `json:"replayed"`
@@ -120,8 +119,8 @@ type WAL struct {
 	sync   func(f *os.File) error
 	rename func(oldpath, newpath string) error
 
-	// syncMu serializes Sync calls, whose fsync runs outside mu. Lock
-	// order: syncMu, then mu.
+	// syncMu serializes Sync calls, whose fsync runs outside mu, and
+	// keeps Compact out of that window. Lock order: syncMu, then mu.
 	syncMu    sync.Mutex
 	mu        sync.Mutex
 	f         *os.File // active segment; nil until the next Append opens one
@@ -464,20 +463,19 @@ func (w *WAL) Sync() error {
 	}
 	w.dirty = false
 	w.mu.Unlock()
-	t0 := time.Now()
 	err := fsync(f)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err != nil {
-		// A rotation or Compact that retired f meanwhile made its
-		// records durable under mu; only the active segment is unsynced.
+		// A rotation that retired f meanwhile synced it under mu first
+		// (Compact takes syncMu, so it cannot run in this window); only
+		// the active segment can be left unsynced.
 		if f == w.f {
 			w.dirty = true
 		}
 		return err
 	}
 	w.stats.Fsyncs++
-	w.stats.FsyncDuration += time.Since(t0)
 	return nil
 }
 
@@ -486,13 +484,11 @@ func (w *WAL) syncLocked() error {
 	if !w.dirty || w.f == nil {
 		return nil
 	}
-	t0 := time.Now()
 	if err := w.sync(w.f); err != nil {
 		return err
 	}
 	w.dirty = false
 	w.stats.Fsyncs++
-	w.stats.FsyncDuration += time.Since(t0)
 	return nil
 }
 
@@ -526,7 +522,12 @@ func (w *WAL) syncLoop() {
 // records up to now describe is assumed folded into it. The snapshot is
 // written atomically (temp file + rename), and on success every live
 // segment is deleted — replay cost resets to the snapshot alone.
+// Compact waits for a Sync in progress: that Sync has cleared dirty, so
+// the barrier below would otherwise skip its fsync and close the file
+// under it.
 func (w *WAL) Compact(snapshot []byte) error {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
