@@ -24,8 +24,9 @@
 // a background group-commit goroutine fsyncs the active segment every
 // SyncInterval, so a machine crash loses at most one sync window. Sync
 // forces an fsync for callers that need a hard barrier. The fsync runs
-// outside the append lock, so appends never wait for the disk; only
-// segment rotation and Compact sync under it, as barriers.
+// outside the append lock, so an Append does not wait for it. Segment
+// rotation and Compact still sync under that lock, as barriers; the
+// Append that rotates, and any queued behind a barrier, waits for it.
 //
 // Recovery (Open) tolerates torn tails: the record chain is replayed
 // until the first frame that is short, oversized, or fails its CRC, the
