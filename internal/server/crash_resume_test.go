@@ -10,6 +10,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -75,8 +76,8 @@ func compactClosed(t *testing.T, dir string) wal.Stats {
 	var snap srvSnapshot
 	err := j.Replay(func(_ uint64, payload []byte) error {
 		var r srvRec
-		if err := json.Unmarshal(payload, &r); err != nil {
-			return err
+		if !decodeRecord(payload, &r) {
+			return fmt.Errorf("undecodable journal record %x", payload)
 		}
 		snap.Records = append(snap.Records, r)
 		snap.NextID = max(snap.NextID, idNumber(r.ID))

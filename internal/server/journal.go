@@ -17,11 +17,11 @@ package server
 // sweeps resume, marked recovered, and run only the jobs with no
 // journaled row — completed work is never re-simulated.
 //
-// Records are written with json.Marshal and replayed with decodeRecord,
-// which decodes them as json.Unmarshal would but without reflection:
-// a restart decodes every record of the log. Only a submit carries
-// submitted and only an end carries finished. Journals from servers
-// that wrote both, zero, into every record still replay.
+// Records are binary (encodeRecord has the layout): a tag byte naming
+// the op, the sweep id, then only the fields that op carries. No JSON
+// record starts with a tag byte, so decodeRecord hands any other
+// payload to json.Unmarshal: journals that older servers wrote in JSON,
+// with or without zero timestamps in every record, still replay.
 //
 // The window this cannot close: a job's result reaches the
 // content-addressed store (inside the runner) an instant before its row
@@ -34,18 +34,20 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
-	"unicode/utf8"
 
 	"repro/internal/sweep"
 )
 
-// srvRec is one server journal record; fields are op-dependent.
+// srvRec is one server journal record; fields are op-dependent. The
+// JSON tags decode the records and snapshots older servers wrote.
 type srvRec struct {
 	Op string `json:"op"` // "submit", "row", "cancel" or "end"
 	ID string `json:"id"`
@@ -61,9 +63,8 @@ type srvRec struct {
 	// Row is the full wire row.
 	Index int        `json:"index,omitempty"`
 	Row   *sweep.Row `json:"row,omitempty"`
-	// end fields. The times are pointers so that omitempty leaves them
-	// out of the records that do not carry them (it never omits a
-	// time.Time value).
+	// end fields. The times are pointers so that a record can carry
+	// none: omitempty never omits a time.Time value.
 	State     string     `json:"state,omitempty"`
 	Finished  *time.Time `json:"finished,omitempty"`
 	Recovered bool       `json:"recovered,omitempty"`
@@ -87,481 +88,166 @@ type srvSnapshot struct {
 	Sweeps json.RawMessage `json:"sweeps,omitempty"`
 }
 
-// recKeys and rowKeys are the JSON names of srvRec's and sweep.Row's
-// fields, the names decodeRecord matches keys against.
-var (
-	recKeys = []string{"op", "id", "name", "tenant", "pri", "par", "spec",
-		"submitted", "index", "row", "state", "finished", "recovered"}
-	rowKeys = []string{"benchmark", "arch", "seed", "instructions", "cycles",
-		"ipc", "mispredict_rate", "icache_miss_rate", "dcache_miss_rate", "key", "cached"}
-)
+// tagOps names the op of each tag byte, the first byte of a binary
+// record. No JSON record starts with a tag, since json.Marshal writes
+// '{' first.
+var tagOps = [...]string{1: "submit", 2: "row", 3: "cancel", 4: "end"}
 
-// maxDepth is encoding/json's nesting limit: it rejects a payload whose
-// arrays and objects nest deeper.
-const maxDepth = 10000
+// encodeRecord renders r as a binary record: the tag byte of its op,
+// the sweep id, and the fields its op carries, in srvRec's order.
+// Strings are uvarint-length-prefixed, ints are varints, the row's
+// counters are uvarints, its floats are little-endian IEEE bits, bools
+// are one byte, and a timestamp is time.Time.MarshalBinary as a
+// length-prefixed string, empty for none. A row record with no row
+// carries a zero one.
+func encodeRecord(r srvRec) ([]byte, error) {
+	tag := slices.Index(tagOps[:], r.Op)
+	if tag < 1 {
+		return nil, fmt.Errorf("server: no journal record encoding for op %q", r.Op)
+	}
+	b := appendString(append(make([]byte, 0, 160+len(r.Spec)), byte(tag)), r.ID)
+	var err error
+	switch r.Op {
+	case "submit":
+		b = appendString(appendString(b, r.Name), r.Tenant)
+		b = binary.AppendVarint(binary.AppendVarint(b, int64(r.Pri)), int64(r.Par))
+		b, err = appendTime(appendString(b, r.Spec), r.Submitted)
+	case "row":
+		var row sweep.Row
+		if r.Row != nil {
+			row = *r.Row
+		}
+		b = binary.AppendVarint(b, int64(r.Index))
+		b = appendString(appendString(b, row.Benchmark), row.Arch)
+		for _, v := range [...]uint64{row.Seed, row.Instructions, row.Cycles} {
+			b = binary.AppendUvarint(b, v)
+		}
+		for _, f := range [...]float64{row.IPC, row.MispredRate, row.ICacheMiss, row.DCacheMiss} {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+		}
+		b = appendBool(appendString(b, row.Key), row.Cached)
+	case "end":
+		b, err = appendTime(appendString(b, r.State), r.Finished)
+		b = appendBool(b, r.Recovered)
+	}
+	return b, err
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+func appendTime(b []byte, t *time.Time) ([]byte, error) {
+	if t == nil {
+		return appendString(b, ""), nil
+	}
+	p, err := t.MarshalBinary()
+	return append(binary.AppendUvarint(b, uint64(len(p))), p...), err
+}
 
 // decodeRecord decodes one journal record payload into r, which must be
-// zero, and reports whether json.Unmarshal(payload, r) succeeds; when it
-// does, r holds what json.Unmarshal stores. It does json.Unmarshal's
-// work without reflection, since recovery decodes every record of the
-// log.
+// zero, and reports whether the payload is a well-formed record. A
+// payload that starts with a tag byte is binary and must be exactly
+// what encodeRecord writes for the record it decodes to; any other is
+// a JSON record from an older server, decoded by json.Unmarshal.
 func decodeRecord(payload []byte, r *srvRec) bool {
-	d := recDecoder{data: payload}
-	ok := false
-	switch d.peek() {
-	case '{':
-		ok = d.object(func(key []byte) bool { return d.recField(r, key) })
-	case 'n':
-		ok = d.literal("null") // leaves r zero, as json.Unmarshal does
+	if len(payload) == 0 || int(payload[0]) >= len(tagOps) || tagOps[payload[0]] == "" {
+		return json.Unmarshal(payload, r) == nil
 	}
-	// Any other top-level value is a type error.
-	d.space()
-	return ok && d.off == len(d.data)
-}
-
-// recDecoder is a cursor over one record payload. Its methods consume
-// one value each and return false where json.Unmarshal would fail: on
-// a syntax error, or on a value the field's type cannot hold (an error
-// json.Unmarshal also reports, whatever follows). Every string it
-// stores is a copy, since the payload is freed after the callback.
-type recDecoder struct {
-	data []byte
-	off  int
-}
-
-func (d *recDecoder) space() {
-	for d.off < len(d.data) {
-		switch d.data[d.off] {
-		case ' ', '\t', '\n', '\r':
-			d.off++
-		default:
-			return
-		}
+	d := recReader{b: payload[1:]}
+	r.Op, r.ID = tagOps[payload[0]], d.str()
+	switch r.Op {
+	case "submit":
+		r.Name, r.Tenant, r.Pri, r.Par = d.str(), d.str(), d.int(), d.int()
+		r.Spec, r.Submitted = d.str(), d.time()
+	case "row":
+		r.Index = d.int()
+		r.Row = &sweep.Row{Benchmark: d.str(), Arch: d.str(),
+			Seed: d.uvarint(), Instructions: d.uvarint(), Cycles: d.uvarint(),
+			IPC: d.float(), MispredRate: d.float(), ICacheMiss: d.float(), DCacheMiss: d.float(),
+			Key: d.str(), Cached: d.bool()}
+	case "end":
+		r.State, r.Finished, r.Recovered = d.str(), d.time(), d.bool()
 	}
+	return !d.bad && len(d.b) == 0
 }
 
-// peek skips white space and returns the next byte, or 0 at the end.
-func (d *recDecoder) peek() byte {
-	d.space()
-	if d.off < len(d.data) {
-		return d.data[d.off]
+// recReader is a bounds-checked cursor over the fields of a binary
+// record. A field that runs past the payload, or is not in the form
+// encodeRecord writes, marks the record bad. Strings are copies: the
+// WAL frees the payload after the callback.
+type recReader struct {
+	b   []byte
+	bad bool
+}
+
+// next consumes n bytes, or marks the record bad if fewer are left.
+func (d *recReader) next(n uint64) []byte {
+	if n > uint64(len(d.b)) {
+		d.bad = true
+		return nil
+	}
+	p := d.b[:n]
+	d.b = d.b[n:]
+	return p
+}
+
+// uvarint reads a uvarint, or marks the record bad unless it is whole
+// and in the shortest form, the one encodeRecord writes.
+func (d *recReader) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 || n > 1 && d.b[n-1] == 0 {
+		d.bad = true
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+// int reads a zig-zag varint, as binary.AppendVarint writes it.
+func (d *recReader) int() int {
+	u := d.uvarint()
+	return int(int64(u>>1) ^ -int64(u&1))
+}
+
+func (d *recReader) str() string {
+	return string(d.next(d.uvarint()))
+}
+
+func (d *recReader) float() float64 {
+	if p := d.next(8); p != nil {
+		return math.Float64frombits(binary.LittleEndian.Uint64(p))
 	}
 	return 0
 }
 
-// literal consumes lit (true, false or null) at the cursor.
-func (d *recDecoder) literal(lit string) bool {
-	if !bytes.HasPrefix(d.data[d.off:], []byte(lit)) {
-		return false
-	}
-	d.off += len(lit)
-	return true
+func (d *recReader) bool() bool {
+	p := d.next(1)
+	d.bad = d.bad || p != nil && p[0] > 1
+	return p != nil && p[0] == 1
 }
 
-// recField decodes the value at the cursor into the record field that
-// key names. Keys match the way encoding/json matches them: exactly,
-// else case-insensitively (see foldKey); a key matching no field has
-// its value skipped.
-func (d *recDecoder) recField(r *srvRec, key []byte) bool {
-	switch string(key) {
-	case "op":
-		return d.text(&r.Op)
-	case "id":
-		return d.text(&r.ID)
-	case "name":
-		return d.text(&r.Name)
-	case "tenant":
-		return d.text(&r.Tenant)
-	case "pri":
-		return d.integer(&r.Pri)
-	case "par":
-		return d.integer(&r.Par)
-	case "spec":
-		return d.text(&r.Spec)
-	case "submitted":
-		return d.stamp(&r.Submitted)
-	case "index":
-		return d.integer(&r.Index)
-	case "row":
-		return d.row(&r.Row)
-	case "state":
-		return d.text(&r.State)
-	case "finished":
-		return d.stamp(&r.Finished)
-	case "recovered":
-		return d.boolean(&r.Recovered)
+// time reads a length-prefixed time.Time.MarshalBinary, nil when empty.
+// It takes only the bytes MarshalBinary writes back: UnmarshalBinary
+// also accepts nanoseconds and zone offsets that do not round-trip.
+func (d *recReader) time() *time.Time {
+	p := d.next(d.uvarint())
+	if len(p) == 0 {
+		return nil
 	}
-	name, ascii := foldKey(key, recKeys)
-	if !ascii {
-		return member(d, key, 2, r)
+	t := new(time.Time)
+	err := t.UnmarshalBinary(p)
+	if q, _ := t.MarshalBinary(); err != nil || !bytes.Equal(p, q) {
+		d.bad = true
 	}
-	if name != "" && name != string(key) { // a name the switch lacks is skipped, not folded again
-		return d.recField(r, []byte(name))
-	}
-	return d.skip(2)
-}
-
-// rowField is recField for the keys of a row.
-func (d *recDecoder) rowField(row *sweep.Row, key []byte) bool {
-	switch string(key) {
-	case "benchmark":
-		return d.text(&row.Benchmark)
-	case "arch":
-		return d.text(&row.Arch)
-	case "seed":
-		return d.unsigned(&row.Seed)
-	case "instructions":
-		return d.unsigned(&row.Instructions)
-	case "cycles":
-		return d.unsigned(&row.Cycles)
-	case "ipc":
-		return d.float(&row.IPC)
-	case "mispredict_rate":
-		return d.float(&row.MispredRate)
-	case "icache_miss_rate":
-		return d.float(&row.ICacheMiss)
-	case "dcache_miss_rate":
-		return d.float(&row.DCacheMiss)
-	case "key":
-		return d.text(&row.Key)
-	case "cached":
-		return d.boolean(&row.Cached)
-	}
-	name, ascii := foldKey(key, rowKeys)
-	if !ascii {
-		return member(d, key, 3, row)
-	}
-	if name != "" && name != string(key) { // a name the switch lacks is skipped, not folded again
-		return d.rowField(row, []byte(name))
-	}
-	return d.skip(3)
-}
-
-// foldKey returns the name in names that an ASCII key equals under
-// case folding, or "" for none. A key holding other bytes reports
-// ascii false and is left to member: which non-ASCII runes
-// encoding/json folds onto ASCII letters is its own choice and need not
-// stay fixed across Go releases (go1.24 folds the Kelvin sign onto k
-// and the long s onto s, but not the dotted or dotless i onto i).
-func foldKey(key []byte, names []string) (name string, ascii bool) {
-	for _, c := range key {
-		if c >= utf8.RuneSelf {
-			return "", false
-		}
-	}
-	for _, n := range names {
-		if bytes.EqualFold(key, []byte(n)) {
-			return n, true
-		}
-	}
-	return "", true
-}
-
-// member decodes the value at the cursor, which sits at nesting depth
-// depth under a non-ASCII key, into *dst with json.Unmarshal of that one
-// member, so the key matches a field (or none) exactly as the building
-// toolchain's encoding/json matches it. No record the server writes has
-// such a key.
-func member[T any](d *recDecoder, key []byte, depth int, dst *T) bool {
-	start := d.off
-	if !d.skip(depth) {
-		return false
-	}
-	k, _ := json.Marshal(string(key)) // key is valid UTF-8, so this round-trips
-	obj := append(append(append(append([]byte{'{'}, k...), ':'), d.data[start:d.off]...), '}')
-	v := new(T) // a copy, so that dst does not escape in every call
-	*v = *dst
-	err := json.Unmarshal(obj, v)
-	*dst = *v
-	return err == nil
-}
-
-// object consumes the object at the cursor, calling field with each
-// key and the cursor on its value.
-func (d *recDecoder) object(field func(key []byte) bool) bool {
-	d.off++ // {
-	if d.peek() == '}' {
-		d.off++
-		return true
-	}
-	for {
-		if d.peek() != '"' {
-			return false
-		}
-		tok, plain, ok := d.str()
-		if !ok || d.peek() != ':' {
-			return false
-		}
-		d.off++
-		key := tok[1 : len(tok)-1]
-		if !plain {
-			key = []byte(unquote(tok, false))
-		}
-		if !field(key) {
-			return false
-		}
-		switch d.peek() {
-		case ',':
-			d.off++
-		case '}':
-			d.off++
-			return true
-		default:
-			return false
-		}
-	}
-}
-
-// skip consumes and validates the value at the cursor, which sits at
-// nesting depth depth: an object or array there is the depth-th one
-// open.
-func (d *recDecoder) skip(depth int) bool {
-	switch d.peek() {
-	case '"':
-		_, _, ok := d.str()
-		return ok
-	case '{':
-		return depth <= maxDepth && d.object(func([]byte) bool { return d.skip(depth + 1) })
-	case '[':
-		if depth > maxDepth {
-			return false
-		}
-		d.off++
-		if d.peek() == ']' {
-			d.off++
-			return true
-		}
-		for {
-			if !d.skip(depth + 1) {
-				return false
-			}
-			switch d.peek() {
-			case ',':
-				d.off++
-			case ']':
-				d.off++
-				return true
-			default:
-				return false
-			}
-		}
-	case 't':
-		return d.literal("true")
-	case 'f':
-		return d.literal("false")
-	case 'n':
-		return d.literal("null")
-	}
-	_, ok := d.number()
-	return ok
-}
-
-// str consumes the string token at the cursor and returns it, quotes
-// included. plain reports a token whose contents are its value: no
-// escapes and valid UTF-8.
-func (d *recDecoder) str() (tok []byte, plain, ok bool) {
-	b, i := d.data, d.off+1
-	ascii := true
-	plain = true
-	for {
-		for i < len(b) && ' ' <= b[i] && b[i] < utf8.RuneSelf && b[i] != '"' && b[i] != '\\' {
-			i++
-		}
-		if i >= len(b) {
-			return nil, false, false
-		}
-		switch c := b[i]; {
-		case c == '"':
-			tok, d.off = b[d.off:i+1], i+1
-			if !ascii && plain {
-				plain = utf8.Valid(tok)
-			}
-			return tok, plain, true
-		case c == '\\':
-			plain = false
-			if i++; i >= len(b) {
-				return nil, false, false
-			}
-			switch b[i] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-			case 'u':
-				if i+4 >= len(b) || !isHex(b[i+1]) || !isHex(b[i+2]) || !isHex(b[i+3]) || !isHex(b[i+4]) {
-					return nil, false, false
-				}
-				i += 4
-			default:
-				return nil, false, false
-			}
-		case c < ' ':
-			return nil, false, false
-		default:
-			ascii = false
-		}
-		i++
-	}
-}
-
-func isHex(c byte) bool {
-	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
-}
-
-// unquote returns the value of a string token str consumed as a new
-// string. A token that is not plain goes to json.Unmarshal, which
-// decodes its escapes and replaces invalid UTF-8 as it does for fields.
-func unquote(tok []byte, plain bool) string {
-	if plain {
-		return string(tok[1 : len(tok)-1])
-	}
-	var s string
-	_ = json.Unmarshal(tok, &s) // cannot fail on a token str accepted
-	return s
-}
-
-// number consumes the number token at the cursor by the JSON grammar:
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-func (d *recDecoder) number() ([]byte, bool) {
-	b, i := d.data, d.off
-	digits := func() bool {
-		n := i
-		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-			i++
-		}
-		return i > n
-	}
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	if i < len(b) && b[i] == '0' {
-		i++
-	} else if !digits() {
-		return nil, false
-	}
-	if i < len(b) && b[i] == '.' {
-		i++
-		if !digits() {
-			return nil, false
-		}
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if !digits() {
-			return nil, false
-		}
-	}
-	tok := b[d.off:i]
-	d.off = i
-	return tok, true
-}
-
-// The scalar decoders below fill a field the way encoding/json does:
-// null leaves it as it is, a number goes through strconv, and a value
-// of any other JSON type is a type error.
-
-func (d *recDecoder) text(dst *string) bool {
-	switch d.peek() {
-	case '"':
-		tok, plain, ok := d.str()
-		if ok {
-			*dst = unquote(tok, plain)
-		}
-		return ok
-	case 'n':
-		return d.literal("null")
-	}
-	return false
-}
-
-func (d *recDecoder) boolean(dst *bool) bool {
-	switch d.peek() {
-	case 't':
-		*dst = true
-		return d.literal("true")
-	case 'f':
-		*dst = false
-		return d.literal("false")
-	case 'n':
-		return d.literal("null")
-	}
-	return false
-}
-
-func (d *recDecoder) integer(dst *int) bool {
-	if d.peek() == 'n' {
-		return d.literal("null")
-	}
-	tok, ok := d.number()
-	if !ok {
-		return false
-	}
-	n, err := strconv.ParseInt(string(tok), 10, strconv.IntSize)
-	*dst = int(n)
-	return err == nil
-}
-
-func (d *recDecoder) unsigned(dst *uint64) bool {
-	if d.peek() == 'n' {
-		return d.literal("null")
-	}
-	tok, ok := d.number()
-	if !ok {
-		return false
-	}
-	n, err := strconv.ParseUint(string(tok), 10, 64)
-	*dst = n
-	return err == nil
-}
-
-func (d *recDecoder) float(dst *float64) bool {
-	if d.peek() == 'n' {
-		return d.literal("null")
-	}
-	tok, ok := d.number()
-	if !ok {
-		return false
-	}
-	f, err := strconv.ParseFloat(string(tok), 64)
-	*dst = f
-	return err == nil
-}
-
-// stamp fills a *time.Time field: null stores nil, and any other value
-// goes, as its raw token, to time.Time.UnmarshalJSON, which accepts
-// only strings.
-func (d *recDecoder) stamp(dst **time.Time) bool {
-	switch d.peek() {
-	case '"':
-		tok, _, ok := d.str()
-		t := new(time.Time)
-		if !ok || t.UnmarshalJSON(tok) != nil {
-			return false
-		}
-		*dst = t
-		return true
-	case 'n':
-		*dst = nil
-		return d.literal("null")
-	}
-	return false
-}
-
-// row fills the row field: null stores nil, and an object decodes into
-// the row already there, as encoding/json does with a repeated key.
-func (d *recDecoder) row(dst **sweep.Row) bool {
-	switch d.peek() {
-	case '{':
-		if *dst == nil {
-			*dst = new(sweep.Row)
-		}
-		row := *dst
-		return d.object(func(key []byte) bool { return d.rowField(row, key) })
-	case 'n':
-		*dst = nil
-		return d.literal("null")
-	}
-	return false
+	return t
 }
 
 // journalAppend writes one record. Callers append before they
@@ -571,7 +257,7 @@ func (d *recDecoder) row(dst **sweep.Row) bool {
 // error, so the cost stays one failed syscall per record.
 func (s *Server) journalAppend(r srvRec) {
 	if j := s.cfg.Journal; j != nil {
-		if b, err := json.Marshal(r); err == nil {
+		if b, err := encodeRecord(r); err == nil {
 			j.Append(b)
 		}
 	}

@@ -122,7 +122,7 @@ const fuzzMaxJobs = 64
 // record payloads to New through a journal. Recovery must never panic,
 // and no replayed sweep may hold a row table larger than MaxJobs.
 func FuzzServerReplay(f *testing.F) {
-	rec := func(r srvRec) []byte {
+	rec := func(r any) []byte {
 		b, err := json.Marshal(r)
 		if err != nil {
 			f.Fatal(err)
@@ -158,6 +158,31 @@ func FuzzServerReplay(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(snap, submitRec("s000004", resumeSpec))
+	// One sweep journaled as binary records and as the zero-timestamp
+	// JSON of older servers. The binary records must hold no newline,
+	// which would split them here.
+	at := time.Date(2024, 5, 1, 12, 0, 0, 0, time.UTC)
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, []byte(testSpec)); err != nil {
+		f.Fatal(err)
+	}
+	sweepRecs := []srvRec{
+		{Op: "submit", ID: "s000001", Spec: compact.String(), Par: 1, Submitted: &at},
+		{Op: "row", ID: "s000001", Index: 2, Row: &row},
+		{Op: "end", ID: "s000001", State: "done", Finished: &at},
+	}
+	var binary, legacy [][]byte
+	for _, r := range sweepRecs {
+		b := mustEncode(f, r)
+		if bytes.IndexByte(b, '\n') >= 0 {
+			f.Fatalf("binary seed record %x holds a newline", b)
+		}
+		binary = append(binary, b)
+		legacy = append(legacy, rec(legacyRec{Op: r.Op, ID: r.ID, Spec: r.Spec, Par: r.Par,
+			Submitted: at, Index: r.Index, Row: r.Row, State: r.State, Finished: at}))
+	}
+	f.Add([]byte(nil), lines(binary...))
+	f.Add([]byte(nil), lines(legacy...))
 
 	f.Fuzz(func(t *testing.T, snap, log []byte) {
 		dir := t.TempDir()

@@ -372,10 +372,11 @@ func (w *WAL) Replay(fn func(index uint64, payload []byte) error) error {
 // after the next group-commit fsync. The returned index identifies the
 // record in the global chain.
 //
-// A write error poisons the journal: the tail state is unknown, so every
-// subsequent Append fails too (counted in Stats.AppendErrors) rather
-// than risk interleaving good records with torn ones. Callers degrade to
-// running unjournaled.
+// A write error, or a failed fsync of the segment an Append retires,
+// poisons the journal: the tail state is unknown, so every subsequent
+// Append fails too (counted in Stats.AppendErrors) rather than risk
+// interleaving good records with torn ones. Callers degrade to running
+// unjournaled.
 func (w *WAL) Append(payload []byte) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -423,7 +424,10 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 	default:
 	}
 	if w.segBytes >= w.opts.SegmentBytes {
-		w.rotateLocked()
+		if err := w.rotateLocked(); err != nil {
+			w.stats.AppendErrors++
+			return 0, err
+		}
 	}
 	return idx, nil
 }
@@ -442,12 +446,16 @@ func (w *WAL) openSegmentLocked() error {
 }
 
 // rotateLocked retires the active segment (synced, so rotation doubles
-// as a durability barrier); the next Append opens a fresh one.
-func (w *WAL) rotateLocked() {
-	w.syncLocked()
+// as a durability barrier); the next Append opens a fresh one. A failed
+// barrier fsync poisons the journal: the retired segment's records may
+// not be on disk, so nothing may be appended after them.
+func (w *WAL) rotateLocked() error {
+	err := w.syncLocked()
+	w.failed = err != nil // Append runs this only on a journal not yet failed
 	w.f.Close()
 	w.f = nil
 	w.segBytes = 0
+	return err
 }
 
 // Sync forces an fsync of the active segment. The fsync runs after mu is

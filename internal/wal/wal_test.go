@@ -351,6 +351,32 @@ func TestWALFailedWriteTruncatesBack(t *testing.T) {
 	}
 }
 
+// TestWALRotationSyncFailurePoisons fails the barrier fsync of a
+// rotation: the Append that triggered it must return the error, and the
+// journal must refuse every later Append, since the retired segment's
+// records may never reach the disk.
+func TestWALRotationSyncFailurePoisons(t *testing.T) {
+	w := mustOpen(t, t.TempDir(), Options{SegmentBytes: 64, SyncInterval: -1})
+	defer w.Close()
+	appendN(t, w, 0, 1)
+	w.SetSyncHook(func(*os.File) error { return errors.New("injected: fsync failed") })
+	// Three 19-byte frames stay under 64 bytes; the fourth rotates.
+	appendN(t, w, 1, 2)
+	if _, err := w.Append(payload(3)); err == nil {
+		t.Fatal("Append whose rotation fsync failed returned nil error")
+	}
+	if !w.Failed() {
+		t.Fatal("a failed rotation fsync did not poison the journal")
+	}
+	w.SetSyncHook((*os.File).Sync)
+	if _, err := w.Append(payload(4)); err == nil {
+		t.Fatal("Append after a failed rotation fsync returned nil error")
+	}
+	if st := w.Stats(); st.AppendErrors != 2 {
+		t.Errorf("stats: %+v, want 2 append errors", st)
+	}
+}
+
 // TestWALAppendDuringSync pins that fsync runs outside the append lock:
 // while a Sync is held inside its fsync, an Append returns and Index
 // advances. A failed fsync leaves the journal dirty, the next Sync

@@ -200,7 +200,8 @@ if want 3; then
   fi
   echo "smoke:     restarted server served $(jq -r .cached "$work/restart.status") rows from the disk store"
 
-  curl -sfS "$base/metrics" | grep -q '^rfserved_cache_hits_total' \
+  metrics="$(curl -sfS "$base/metrics")"
+  echo "$metrics" | grep -q '^rfserved_cache_hits_total' \
     || die "metrics endpoint missing cache counters"
 fi
 reap
@@ -436,7 +437,8 @@ EOF
 
   # The resumed journal was replayed, and resubmitting the spec is 100%
   # warm cache hits (nothing was lost, nothing re-simulated).
-  curl -sfS "$coord/metrics" | grep -q '^rfserved_wal_replayed_records{journal="server"} [1-9]' \
+  metrics="$(curl -sfS "$coord/metrics")"
+  echo "$metrics" | grep -q '^rfserved_wal_replayed_records{journal="server"} [1-9]' \
     || die "restarted coordinator reports no replayed journal records"
   base="$coord"
   cp "$work/recovery-spec.json" "$work/spec.json"
@@ -504,7 +506,8 @@ EOF
     diff -u "$work/rfbatch.ndjson" "$work/p7-cold.ndjson" >&2 || true
     die "phase-7 cold fleet stream differs from single-node rfbatch output"
   fi
-  curl -sfS "$coord/metrics" | grep -q '^rfserved_dispatch_results_total 6$' \
+  metrics="$(curl -sfS "$coord/metrics")"
+  echo "$metrics" | grep -q '^rfserved_dispatch_results_total 6$' \
     || die "phase-7 fleet did not execute all 6 jobs remotely"
 
   # Kill the coordinator (only it — the workers keep their stores) and
@@ -555,8 +558,9 @@ EOF
               <(jq -c 'del(.cached)' "$work/p7-peer.ndjson"); then
     die "peer-tier rows differ from the cold run"
   fi
-  curl -sfS "$coord/metrics" | grep -q '^rfserved_store_tier_hits{tier="peer"} 6$' \
-    || die "coordinator did not serve all 6 rows from the peer tier: $(curl -sfS "$coord/metrics" | grep store_tier || true)"
+  metrics="$(curl -sfS "$coord/metrics")"
+  echo "$metrics" | grep -q '^rfserved_store_tier_hits{tier="peer"} 6$' \
+    || die "coordinator did not serve all 6 rows from the peer tier: $(echo "$metrics" | grep store_tier || true)"
   echo "smoke:     resubmission served 6/6 rows from worker stores (0 simulations)"
 
   # Dead-peer fallback: a brand-new node lists the soon-to-die worker 2
