@@ -165,7 +165,10 @@ func FuzzDecodeRecord(f *testing.F) {
 		var got srvRec
 		ok := decodeRecord(payload, &got)
 		if len(payload) > 0 && int(payload[0]) < len(tagOps) && tagOps[payload[0]] != "" {
-			if enc, err := encodeRecord(got); ok && (err != nil || !bytes.Equal(enc, payload)) {
+			if !ok {
+				return
+			}
+			if enc, err := encodeRecord(got); err != nil || !bytes.Equal(enc, payload) {
 				t.Fatalf("%x decodes to %+v, which encodes to %x (%v)", payload, got, enc, err)
 			}
 			return
