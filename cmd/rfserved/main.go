@@ -73,14 +73,16 @@
 // run leased jobs through their own cached runner (and store, with
 // -store) while still serving their own /v1/sweeps API.
 //
-// With -wal-dir the server journals every sweep transition (and, in
-// coordinator mode, every dispatch transition) to a write-ahead log in
-// that directory. A crashed or SIGKILLed server restarted on the same
-// -wal-dir replays the journal, resumes interrupted sweeps where they
-// stopped (completed rows are never re-simulated; result streams stay
-// byte-identical), and re-adopts workers' in-flight leases as they poll
-// back in. Without -wal-dir behavior is exactly as before: state dies
-// with the process.
+// With -wal-dir the server journals every sweep transition to a
+// write-ahead log in <wal-dir>/server. A crashed or SIGKILLed server
+// restarted on the same -wal-dir replays the journal and resumes
+// interrupted sweeps where they stopped (completed rows are never
+// re-simulated; result streams stay byte-identical). In coordinator mode
+// that journal is the only one: the resumed sweeps re-submit their
+// unfinished jobs, and workers still simulating one report its content
+// key on their next poll, so the coordinator adopts the running lease
+// instead of leasing the job again. Without -wal-dir behavior is exactly
+// as before: state dies with the process.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: it stops accepting
 // sweeps, cancels running ones, flushes the store index, and exits. See
@@ -172,14 +174,14 @@ func main() {
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
 	}
-	// Journals open before the coordinator and server are built: both
-	// replay their WAL during construction. The server resumes each
-	// interrupted sweep by re-running only its unfinished jobs, and in
-	// coordinator mode those jobs re-attach (by content key) to the tasks
-	// the coordinator's own replay reconstructed — so workers that kept
-	// running through the outage deliver into the resumed sweeps instead
-	// of simulating anything twice.
-	var serverWAL, coordWAL *wal.WAL
+	// The journal opens before the server is built, which replays it
+	// during construction and resumes each interrupted sweep by re-running
+	// only its unfinished jobs. In coordinator mode that is all a restart
+	// needs: the coordinator starts empty, the resumed sweeps re-submit
+	// those jobs by content key, and workers that kept running through
+	// the outage report the same keys as held, so the coordinator adopts
+	// their leases and nothing is simulated twice.
+	var serverWAL *wal.WAL
 	if *walDir != "" {
 		var err error
 		serverWAL, err = wal.Open(filepath.Join(*walDir, "server"), wal.Options{})
@@ -188,13 +190,6 @@ func main() {
 		}
 		cfg.Journal = serverWAL
 		cfg.Logf = logf
-		if *dispatchF {
-			coordWAL, err = wal.Open(filepath.Join(*walDir, "coordinator"), wal.Options{})
-			if err != nil {
-				fatal(err)
-			}
-			cfg.ExtraJournals = map[string]*wal.WAL{"coordinator": coordWAL}
-		}
 		fmt.Fprintf(os.Stderr, "rfserved: journaling to %s\n", *walDir)
 	}
 	if *dispatchF {
@@ -202,8 +197,6 @@ func main() {
 			LeaseTTL:    time.Duration(*leaseMS) * time.Millisecond,
 			MaxCapacity: *maxCap,
 			JobTimeout:  *jobTimeout,
-			Journal:     coordWAL,
-			Logf:        logf,
 			StoreShards: *storeShard,
 		})
 	}
@@ -361,13 +354,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "rfserved: store close: %v\n", err)
 		}
 	}
-	// Journals close last, after the scheduler and dispatcher have
-	// written their final records.
-	for _, j := range []*wal.WAL{coordWAL, serverWAL} {
-		if j != nil {
-			if err := j.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "rfserved: journal close: %v\n", err)
-			}
+	// The journal closes last, after the scheduler has written its final
+	// records.
+	if serverWAL != nil {
+		if err := serverWAL.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "rfserved: journal close: %v\n", err)
 		}
 	}
 }

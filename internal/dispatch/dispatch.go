@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"runtime"
 	"sort"
@@ -14,7 +15,6 @@ import (
 	"repro/internal/store"
 	"repro/internal/sweep"
 	"repro/internal/tenant"
-	"repro/internal/wal"
 	"repro/rf/api"
 )
 
@@ -45,18 +45,6 @@ type Config struct {
 	// exhausted (or the coordinator is closed with callers still
 	// blocked), at most GOMAXPROCS at once; nil uses sweep.Simulate.
 	Fallback func(sweep.Job) sim.Result
-	// Journal, when non-nil, makes the coordinator durable: every state
-	// transition a restart must reconstruct is appended to this WAL, and
-	// NewCoordinator replays it so a restarted coordinator re-adopts the
-	// fleet's in-flight work instead of re-simulating it (see
-	// journal.go). Nil (the default) keeps behavior byte-identical to an
-	// unjournaled coordinator. The journal must have been freshly opened
-	// (its Replay not yet consumed) and is owned by the caller — the
-	// coordinator never closes it.
-	Journal *wal.WAL
-	// Logf reports recovery problems (a corrupt journal falls back to a
-	// cold start); nil discards.
-	Logf func(format string, args ...any)
 	// StoreShards turns on fleet store routing: workers advertise which
 	// of this many shard buckets their local store holds, and Peers
 	// resolves a key's advertisers for the peer store tier. 0 (the
@@ -74,10 +62,11 @@ const (
 	taskDone                      // result delivered
 )
 
-// task is one job flowing through the fleet. Concurrent Simulate calls
-// for the same key share a task.
+// task is one job flowing through the fleet. Its content key is its only
+// identity: concurrent Simulate calls for the same key share a task, and
+// workers report results and held leases by key, so a lease survives a
+// coordinator restart as soon as the job is submitted again.
 type task struct {
-	id         uint64
 	key        sweep.Key
 	job        sweep.Job
 	state      taskState
@@ -102,14 +91,13 @@ type worker struct {
 	capacity   int
 	registered time.Time
 	expires    time.Time
-	inflight   map[uint64]*task
+	inflight   map[sweep.Key]*task
 	completed  uint64
 	// objectsURL and shards are the worker's store advertisement: where
 	// it serves GET /v1/objects/{key} and which shard buckets (modulo
-	// Config.StoreShards) hold at least one object. Soft state — never
-	// journaled, rebuilt from the advertisement on every poll, so a
-	// restarted coordinator relearns the fleet's inventory as workers
-	// re-register.
+	// Config.StoreShards) hold at least one object. Soft state, rebuilt
+	// from the advertisement on every poll, so a restarted coordinator
+	// relearns the fleet's inventory as workers re-register.
 	objectsURL string
 	shards     map[int]bool
 }
@@ -126,11 +114,15 @@ type Coordinator struct {
 	localSem chan struct{}
 	stop     chan struct{}
 
+	// idPrefix is drawn once per coordinator and starts every worker id
+	// it issues, so a worker id from an earlier coordinator process (a
+	// restart on the same address) never names a worker of this one.
+	idPrefix string
+
 	mu      sync.Mutex
 	closed  bool
 	workers map[string]*worker
-	tasks   map[uint64]*task    // live tasks by id (pending/assigned/local)
-	byKey   map[sweep.Key]*task // live tasks by content address
+	byKey   map[sweep.Key]*task // live tasks (pending/assigned/local)
 	// queue holds pending tasks as one FIFO bucket per priority tier,
 	// served highest tier first (prios mirrors the bucket keys, sorted
 	// descending); requeued holds leases that came back (expiry,
@@ -140,7 +132,6 @@ type Coordinator struct {
 	queue      map[int][]*task
 	prios      []int
 	requeued   []*task
-	nextTask   uint64
 	nextWorker uint64
 	wake       chan struct{} // closed+replaced when the queue gains work
 	// lastWorker is the last instant at least one worker was registered
@@ -175,27 +166,12 @@ func NewCoordinator(cfg Config) *Coordinator {
 		cfg:        cfg,
 		localSem:   make(chan struct{}, runtime.GOMAXPROCS(0)),
 		stop:       make(chan struct{}),
+		idPrefix:   fmt.Sprintf("w%08x-", rand.Uint32()),
 		workers:    make(map[string]*worker),
-		tasks:      make(map[uint64]*task),
 		byKey:      make(map[sweep.Key]*task),
 		queue:      make(map[int][]*task),
 		wake:       make(chan struct{}),
 		lastWorker: time.Now(),
-	}
-	if cfg.Journal != nil {
-		if err := c.recover(); err != nil {
-			// A corrupt snapshot means the pre-crash state is
-			// unrecoverable; a cold start is still correct (in-flight
-			// work re-simulates), so degrade rather than refuse to run.
-			if cfg.Logf != nil {
-				cfg.Logf("dispatch: journal recovery failed, starting cold: %v", err)
-			}
-			c.tasks = make(map[uint64]*task)
-			c.byKey = make(map[sweep.Key]*task)
-			c.queue = make(map[int][]*task)
-			c.prios, c.requeued = nil, nil
-			c.stats = Stats{}
-		}
 	}
 	go c.janitor()
 	return c
@@ -212,9 +188,6 @@ func (c *Coordinator) janitor() {
 			return
 		case now := <-tick.C:
 			c.expire(now)
-			if j := c.cfg.Journal; j != nil && j.SizeBytes() >= compactBytes {
-				c.compact()
-			}
 		}
 	}
 }
@@ -239,9 +212,9 @@ func (c *Coordinator) expire(now time.Time) {
 			continue
 		}
 		if c.cfg.JobTimeout > 0 {
-			for id, t := range w.inflight {
+			for k, t := range w.inflight {
 				if now.Sub(t.assignedAt) > c.cfg.JobTimeout {
-					delete(w.inflight, id)
+					delete(w.inflight, k)
 					c.requeueLocked(t)
 				}
 			}
@@ -258,7 +231,6 @@ func (c *Coordinator) expire(now time.Time) {
 		if t.state == taskPending {
 			t.state = taskLocal
 			c.stats.Pending--
-			c.journalLocked(rec{Op: opLocal, Task: t.id})
 			close(t.localc)
 		}
 	}
@@ -285,14 +257,12 @@ func (c *Coordinator) requeueLocked(t *task) {
 	c.stats.Inflight--
 	if t.attempts >= c.cfg.MaxAttempts {
 		t.state = taskLocal
-		c.journalLocked(rec{Op: opLocal, Task: t.id})
 		close(t.localc)
 		return
 	}
 	t.state = taskPending
 	c.stats.Pending++
 	c.stats.Requeued++
-	c.journalLocked(rec{Op: opRequeue, Task: t.id})
 	c.requeued = append(c.requeued, t)
 	c.wakeLocked()
 }
@@ -378,18 +348,14 @@ func (c *Coordinator) SimulateContext(ctx context.Context, j sweep.Job) sim.Resu
 	}
 	t := c.byKey[k]
 	if t == nil {
-		c.nextTask++
 		t = &task{
-			id: c.nextTask, key: k, job: j, state: taskPending,
-			priority: priority,
-			done:     make(chan struct{}), localc: make(chan struct{}),
+			key: k, job: j, state: taskPending, priority: priority,
+			done: make(chan struct{}), localc: make(chan struct{}),
 		}
-		c.tasks[t.id] = t
 		c.byKey[k] = t
 		c.enqueueLocked(t)
 		c.stats.Enqueued++
 		c.stats.Pending++
-		c.journalLocked(rec{Op: opEnq, Task: t.id, Key: string(k), Job: &j, Pri: priority})
 		c.wakeLocked()
 	}
 	c.mu.Unlock()
@@ -408,10 +374,8 @@ func (c *Coordinator) wait(t *task) sim.Result {
 			c.mu.Lock()
 			t.result = res
 			t.state = taskDone
-			delete(c.tasks, t.id)
 			delete(c.byKey, t.key)
 			c.stats.Fallbacks++
-			c.journalLocked(rec{Op: opFDone, Task: t.id})
 			c.mu.Unlock()
 			close(t.done)
 		})
@@ -438,7 +402,7 @@ func (c *Coordinator) Close() {
 	}
 	c.closed = true
 	close(c.stop)
-	for _, t := range c.tasks {
+	for _, t := range c.byKey {
 		if t.state == taskPending || t.state == taskAssigned {
 			t.state = taskLocal
 			close(t.localc)
@@ -500,19 +464,18 @@ func (c *Coordinator) HandleRegister(w http.ResponseWriter, r *http.Request) {
 	c.nextWorker++
 	now := time.Now()
 	wk := &worker{
-		id:         fmt.Sprintf("w%06d", c.nextWorker),
+		id:         fmt.Sprintf("%s%06d", c.idPrefix, c.nextWorker),
 		name:       req.Name,
 		capacity:   req.Capacity,
 		registered: now,
 		expires:    now.Add(c.cfg.LeaseTTL),
-		inflight:   make(map[uint64]*task),
+		inflight:   make(map[sweep.Key]*task),
 		objectsURL: req.ObjectsURL,
 	}
 	if wk.name == "" {
 		wk.name = wk.id
 	}
 	c.workers[wk.id] = wk
-	c.journalLocked(rec{Op: opWreg, Seq: c.nextWorker})
 	c.mu.Unlock()
 	writeJSON(w, http.StatusOK, api.RegisterResponse{
 		ID:          wk.id,
@@ -527,8 +490,10 @@ func (c *Coordinator) HandleRegister(w http.ResponseWriter, r *http.Request) {
 // lease, accepts completed results, and hands out new leases. When the
 // worker wants jobs and none are pending, the request is held open up to
 // PollWait (long poll) so idle workers pick up new sweeps immediately.
-// An unknown worker id (an expired lease) gets 404: the worker must
-// re-register and re-report, and its task ids stay valid.
+// An unknown worker id (an expired lease, or one issued by an earlier
+// coordinator process) gets 404: the worker must re-register and
+// re-report; results and held leases are keyed by content, so they stay
+// valid under the new id.
 func (c *Coordinator) HandlePoll(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req api.PollRequest
@@ -561,48 +526,32 @@ func (c *Coordinator) HandlePoll(w http.ResponseWriter, r *http.Request) {
 	for _, res := range req.Results {
 		c.deliverLocked(wk, res)
 	}
+	// A reported result leaves the worker's inventory once this response
+	// arrives, so only the keys still simulating count as held.
+	holding := make(map[sweep.Key]bool, len(req.Holding))
+	for _, k := range req.Holding {
+		holding[sweep.Key(k)] = true
+	}
+	for _, res := range req.Results {
+		delete(holding, sweep.Key(res.Key))
+	}
 	// Reconcile before assigning: a lease the worker does not report
 	// holding was lost in a dropped poll response — requeue it now,
 	// because this worker will never simulate it and its polling keeps
 	// the lease alive.
-	if len(wk.inflight) > 0 {
-		holding := make(map[uint64]bool, len(req.Holding))
-		for _, id := range req.Holding {
-			holding[id] = true
+	for k, t := range wk.inflight {
+		if !holding[k] {
+			delete(wk.inflight, k)
+			c.requeueLocked(t)
 		}
-		for id, t := range wk.inflight {
-			if !holding[id] {
-				delete(wk.inflight, id)
-				c.requeueLocked(t)
-			}
-		}
-	}
-	// Adopt before assigning: a Holding id the coordinator does not
-	// track as this worker's lease is a simulation that outlived its
-	// lease — the worker re-registered after expiry, or the coordinator
-	// itself restarted and replayed the task from its journal as
-	// pending. Hand the lease back instead of letting assignment
-	// schedule a duplicate of work that is already running.
-	for _, hid := range req.Holding {
-		if wk.inflight[hid] != nil {
-			continue
-		}
-		t := c.tasks[hid]
-		if t == nil || t.state != taskPending {
-			continue
-		}
-		t.state = taskAssigned
-		t.worker = wk.id
-		t.assignedAt = time.Now()
-		wk.inflight[t.id] = t
-		c.stats.Pending--
-		c.stats.Inflight++
-		c.stats.Adopted++
-		c.journalLocked(rec{Op: opAdopt, Task: t.id, Wk: wk.id})
 	}
 
 	deadline := time.Now().Add(c.cfg.PollWait)
 	for {
+		// Adopt before every assignment pass, including after a long-poll
+		// wake: a job the sweep re-submitted while this poll was held may
+		// be one the worker is already simulating.
+		c.adoptLocked(wk, holding)
 		jobs := c.assignLocked(wk, req.Want)
 		if len(jobs) > 0 || req.Want <= 0 || c.closed || !time.Now().Before(deadline) {
 			wk.expires = time.Now().Add(c.cfg.LeaseTTL)
@@ -636,21 +585,46 @@ func (c *Coordinator) HandlePoll(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// deliverLocked accepts one reported result. Results are matched by task
-// id against all live tasks, not just the reporting worker's leases: a
+// adoptLocked hands each pending task whose key the worker holds back to
+// it as a lease. Such a simulation outlived its lease: the worker
+// re-registered after expiry, this coordinator restarted and the server
+// re-submitted the job, or JobTimeout took the lease from a wedged
+// worker. Adoption keeps assignment from scheduling a duplicate of work
+// that is already running. It counts as an attempt, so a wedged worker
+// that keeps adopting its timed-out lease still drives the job to local
+// fallback after MaxAttempts. c.mu held.
+func (c *Coordinator) adoptLocked(wk *worker, holding map[sweep.Key]bool) {
+	for k := range holding {
+		t := c.byKey[k]
+		if t == nil || t.state != taskPending {
+			continue
+		}
+		t.state = taskAssigned
+		t.worker = wk.id
+		t.assignedAt = time.Now()
+		t.attempts++
+		wk.inflight[k] = t
+		c.stats.Pending--
+		c.stats.Inflight++
+		c.stats.Adopted++
+	}
+}
+
+// deliverLocked accepts one reported result. Results are matched by key
+// against all live tasks, not just the reporting worker's leases: a
 // worker that was expired and re-registered may legitimately deliver a
 // task now leased elsewhere (results are deterministic per key, so
 // whichever copy lands first wins). c.mu held.
 func (c *Coordinator) deliverLocked(wk *worker, res api.TaskResult) {
-	t := c.tasks[res.Task]
-	if t == nil || t.state == taskLocal || t.state == taskDone || string(t.key) != res.Key {
+	t := c.byKey[sweep.Key(res.Key)]
+	if t == nil || t.state == taskLocal || t.state == taskDone {
 		c.stats.Late++
 		return
 	}
 	switch t.state {
 	case taskAssigned:
 		if holder := c.workers[t.worker]; holder != nil {
-			delete(holder.inflight, t.id)
+			delete(holder.inflight, t.key)
 		}
 		c.stats.Inflight--
 	case taskPending:
@@ -660,11 +634,9 @@ func (c *Coordinator) deliverLocked(wk *worker, res api.TaskResult) {
 	}
 	t.state = taskDone
 	t.result = res.Result
-	delete(c.tasks, t.id)
 	delete(c.byKey, t.key)
 	wk.completed++
 	c.stats.Completed++
-	c.journalLocked(rec{Op: opDone, Task: t.id})
 	close(t.done)
 }
 
@@ -685,12 +657,11 @@ func (c *Coordinator) assignLocked(wk *worker, want int) []api.Assignment {
 		t.worker = wk.id
 		t.assignedAt = time.Now()
 		t.attempts++
-		wk.inflight[t.id] = t
+		wk.inflight[t.key] = t
 		c.stats.Pending--
 		c.stats.Inflight++
 		c.stats.Dispatched++
-		c.journalLocked(rec{Op: opLease, Task: t.id, Wk: wk.id})
-		out = append(out, api.Assignment{Task: t.id, Key: string(t.key), Job: t.job})
+		out = append(out, api.Assignment{Key: string(t.key), Job: t.job})
 	}
 	return out
 }

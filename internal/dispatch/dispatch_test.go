@@ -206,12 +206,12 @@ func singleNodeNDJSON(t *testing.T, spec string, simulate func(sweep.Job) sim.Re
 }
 
 // requireReleased fails unless the coordinator's per-task maps are empty:
-// once every sweep has streamed to the end, no task, key or lease may
-// outlive it.
+// once every sweep has streamed to the end, no task or lease may outlive
+// it.
 func requireReleased(t *testing.T, c *dispatch.Coordinator) {
 	t.Helper()
-	if tasks, byKey, inflight := c.LiveEntries(); tasks+byKey+inflight != 0 {
-		t.Errorf("after every sweep finished: %d tasks, %d keys, %d leases left, want none", tasks, byKey, inflight)
+	if tasks, inflight := c.LiveEntries(); tasks+inflight != 0 {
+		t.Errorf("after every sweep finished: %d tasks, %d leases left, want none", tasks, inflight)
 	}
 }
 
@@ -372,6 +372,44 @@ func TestJobTimeoutRequeuesWedgedWorker(t *testing.T) {
 	}
 }
 
+// TestJobTimeoutFallsBackWithoutHealthyWorker: with only a wedged worker
+// in the fleet, every timed-out lease comes back to that worker, either
+// adopted from its inventory or re-leased to its parked poll. Both count
+// as attempts, so the job still reaches local fallback after
+// MaxAttempts and the sweep completes.
+func TestJobTimeoutFallsBackWithoutHealthyWorker(t *testing.T) {
+	for _, capacity := range []int{1, 2} {
+		t.Run(fmt.Sprintf("capacity %d", capacity), func(t *testing.T) {
+			f := newFleet(t, dispatch.Config{
+				LeaseTTL:    time.Second,
+				JobTimeout:  50 * time.Millisecond,
+				MaxAttempts: 2,
+			})
+			gate := make(chan struct{})
+			defer close(gate)
+			f.startWorker("wedged", capacity, func(j sweep.Job) sim.Result {
+				<-gate
+				return fakeSim(j)
+			})
+			spec := `{"instructions": 1000, "benchmarks": ["compress"], "architectures": [{"kind": "1cycle"}]}`
+			ack := f.submit(spec)
+			streamed := make(chan string, 1)
+			go func() { streamed <- f.streamAll(ack.ResultsURL) }()
+			select {
+			case got := <-streamed:
+				if want := singleNodeNDJSON(t, spec, fakeSim); got != want {
+					t.Errorf("stream differs:\ngot:  %swant: %s", got, want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("sweep never finished: stats %+v", f.coord.Stats())
+			}
+			if st := f.coord.Stats(); st.Fallbacks != 1 {
+				t.Errorf("wedged-only fleet stats = %+v, want one local fallback", st)
+			}
+		})
+	}
+}
+
 // TestRetryCapFallsBackLocally starves the fleet: every worker leases
 // jobs and vanishes without reporting. After MaxAttempts such leases a
 // job must be simulated locally by the coordinator, so the sweep still
@@ -519,9 +557,8 @@ func TestWorkersEndpoint(t *testing.T) {
 // wireAssignment mirrors the poll-response job entry of the HTTP
 // protocol for raw-protocol tests.
 type wireAssignment struct {
-	Task uint64    `json:"task"`
-	Key  string    `json:"key"`
-	Job  sweep.Job `json:"job"`
+	Key string    `json:"key"`
+	Job sweep.Job `json:"job"`
 }
 
 // postJSON exchanges one raw JSON request against the coordinator.
@@ -571,7 +608,7 @@ func TestLostPollResponseLeasesReconciled(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("queue never offered jobs")
 		}
-		postJSON(t, pollURL, map[string]any{"want": 2, "holding": []uint64{}}, &lost)
+		postJSON(t, pollURL, map[string]any{"want": 2, "holding": []string{}}, &lost)
 	}
 
 	// The next poll truthfully reports holding nothing; the coordinator
@@ -579,14 +616,14 @@ func TestLostPollResponseLeasesReconciled(t *testing.T) {
 	var again struct {
 		Jobs []wireAssignment `json:"jobs"`
 	}
-	postJSON(t, pollURL, map[string]any{"want": 0, "holding": []uint64{}}, &again)
+	postJSON(t, pollURL, map[string]any{"want": 0, "holding": []string{}}, &again)
 	if st := f.coord.Stats(); st.Requeued < uint64(len(lost.Jobs)) {
 		t.Fatalf("ghost leases not requeued: lost %d, stats %+v", len(lost.Jobs), st)
 	}
 
 	// The honest worker now executes everything it is offered; the sweep
 	// must complete byte-identical despite the earlier lost response.
-	held := []uint64{}
+	held := []string{}
 	results := []map[string]any{}
 	for {
 		var resp struct {
@@ -605,9 +642,9 @@ func TestLostPollResponseLeasesReconciled(t *testing.T) {
 		}
 		for _, a := range resp.Jobs {
 			results = append(results, map[string]any{
-				"task": a.Task, "key": a.Key, "result": fakeSim(a.Job),
+				"key": a.Key, "result": fakeSim(a.Job),
 			})
-			held = append(held, a.Task)
+			held = append(held, a.Key)
 		}
 	}
 	got := f.streamAll(ack.ResultsURL)

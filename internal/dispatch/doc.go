@@ -28,7 +28,14 @@
 //
 // Leases are granted per job, and a worker runs each assignment through
 // one WorkerConfig.Simulate call, concurrently up to its granted
-// capacity; results are reported per task on the next poll.
+// capacity; results are reported on the next poll.
+//
+// A task has no identity but its job's content key: leases, results and
+// the held-lease inventory all name keys. The coordinator keeps no
+// journal. A restarted one starts empty, and when a journaled server
+// resumes its sweeps and re-submits the unfinished jobs, a worker still
+// simulating one reports its key as held, and the coordinator hands
+// that lease back to it (adoption) instead of scheduling a duplicate.
 //
 // See docs/ARCHITECTURE.md for the protocol walkthrough and failure
 // matrix.

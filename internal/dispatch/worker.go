@@ -63,7 +63,9 @@ type WorkerConfig struct {
 // the next poll; polls double as lease heartbeats. Transient errors are
 // retried with backoff, and an expired lease (404) triggers
 // re-registration — completed-but-unreported results are retained across
-// both, so they are never lost to a network blip. Jobs in flight when ctx
+// both, so they are never lost to a network blip, and since every poll
+// names held jobs by content key, a restarted coordinator adopts the
+// running ones instead of leasing them out again. Jobs in flight when ctx
 // is canceled are abandoned; the coordinator's lease expiry requeues
 // them elsewhere.
 //
@@ -95,10 +97,11 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	finished := make(chan api.TaskResult, cfg.Capacity)
 	inflight := 0
 	var backlog []api.TaskResult // finished, not yet accepted by the coordinator
-	// held inventories every lease this worker owns (simulating or in
-	// backlog); polls carry it so the coordinator can requeue leases
-	// that were lost in a dropped poll response.
-	held := make(map[uint64]struct{})
+	// held inventories the key of every lease this worker owns
+	// (simulating or in backlog); polls carry it so the coordinator can
+	// requeue leases that were lost in a dropped poll response, and adopt
+	// the ones a restarted coordinator no longer knows it granted.
+	held := make(map[string]struct{})
 	backoff := time.Duration(0)
 	// The first poll happens immediately; afterwards the timer paces
 	// heartbeats when the worker sits at capacity.
@@ -126,9 +129,9 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			break
 		}
 
-		holding := make([]uint64, 0, len(held))
-		for id := range held {
-			holding = append(holding, id)
+		holding := make([]string, 0, len(held))
+		for k := range held {
+			holding = append(holding, k)
 		}
 		resp, err := w.poll(ctx, backlog, holding, capacity-inflight)
 		switch {
@@ -137,8 +140,8 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		case err != nil:
 			var ae *client.APIError
 			if errors.As(err, &ae) && ae.StatusCode == http.StatusNotFound {
-				// Lease expired: re-register and re-report the backlog
-				// under the new identity (task ids stay valid).
+				// Lease expired or the coordinator restarted: re-register
+				// and re-report the backlog under the new identity.
 				cfg.Logf("dispatch: lease expired, re-registering: %v", err)
 				if err := w.register(ctx); err != nil {
 					return err
@@ -155,16 +158,21 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		}
 		backoff = 0
 		for _, res := range backlog {
-			delete(held, res.Task)
+			delete(held, res.Key)
 		}
 		backlog = nil
 		for _, a := range resp.Jobs {
+			if _, ok := held[a.Key]; ok {
+				// Already simulating this key: its result reports the
+				// new lease too.
+				continue
+			}
 			inflight++
-			held[a.Task] = struct{}{}
+			held[a.Key] = struct{}{}
 			go func(a api.Assignment) {
 				res := cfg.Simulate(a.Job)
 				select {
-				case finished <- api.TaskResult{Task: a.Task, Key: a.Key, Result: res}:
+				case finished <- api.TaskResult{Key: a.Key, Result: res}:
 				case <-ctx.Done():
 				}
 			}(a)
@@ -264,7 +272,7 @@ func (w *workerState) register(ctx context.Context) error {
 // poll reports finished results (and the full held-lease inventory) and
 // asks for up to want new jobs, bounded by requestBound on top of the
 // caller's context.
-func (w *workerState) poll(ctx context.Context, results []api.TaskResult, holding []uint64, want int) (*api.PollResponse, error) {
+func (w *workerState) poll(ctx context.Context, results []api.TaskResult, holding []string, want int) (*api.PollResponse, error) {
 	rctx, cancel := context.WithTimeout(ctx, w.requestBound())
 	defer cancel()
 	req := api.PollRequest{Results: results, Holding: holding, Want: want}

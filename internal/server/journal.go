@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -431,21 +430,4 @@ func idNumber(id string) uint64 {
 		return 0
 	}
 	return n
-}
-
-// walJournals returns the journal labels for /metrics, sorted: the
-// server's own journal plus any extra journals wired in for exposure
-// (the coordinator's, in cmd/rfserved).
-func (s *Server) walJournals() []string {
-	names := make([]string, 0, len(s.cfg.ExtraJournals)+1)
-	if s.cfg.Journal != nil {
-		names = append(names, "server")
-	}
-	for name, j := range s.cfg.ExtraJournals {
-		if j != nil && name != "server" {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return names
 }

@@ -120,10 +120,6 @@ type Config struct {
 	// been freshly opened (its Replay not yet consumed) and is owned by
 	// the caller — the server never closes it.
 	Journal *wal.WAL
-	// ExtraJournals exposes additional journals (the coordinator's, in
-	// cmd/rfserved) on /metrics under rfserved_wal_*{journal="<name>"};
-	// the server does not write to them.
-	ExtraJournals map[string]*wal.WAL
 	// Logf reports journal recovery and resume events; nil discards.
 	Logf func(format string, args ...any)
 }
@@ -1081,42 +1077,45 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		m("rfserved_store_remote_errors", ts.RemoteErrors, "failed remote store operations (fetch or replicate)")
 	}
 
-	// Journal activity, one labeled row per WAL this process owns (the
-	// server's own plus any wired in via ExtraJournals — the dispatch
-	// coordinator's, in cmd/rfserved). Absent entirely when unjournaled.
-	if names := s.walJournals(); len(names) > 0 {
-		journals := make(map[string]*wal.WAL, len(names))
-		stats := make(map[string]wal.Stats, len(names))
-		for _, name := range names {
-			j := s.cfg.ExtraJournals[name]
-			if name == "server" && s.cfg.Journal != nil {
-				j = s.cfg.Journal
-			}
-			journals[name] = j
-			stats[name] = j.Stats()
-		}
-		walRow := func(family, help string, value func(string) any) {
+	// Journal activity, one labeled row per WAL the server holds: its own
+	// journal and the warehouse's segment log. Absent entirely when the
+	// server has neither.
+	type journal struct {
+		name string
+		log  *wal.WAL
+		st   wal.Stats
+	}
+	var journals []journal
+	if s.cfg.Journal != nil {
+		journals = append(journals, journal{"server", s.cfg.Journal, s.cfg.Journal.Stats()})
+	}
+	if s.cfg.Warehouse != nil {
+		log := s.cfg.Warehouse.WAL()
+		journals = append(journals, journal{"warehouse", log, log.Stats()})
+	}
+	if len(journals) > 0 {
+		walRow := func(family, help string, value func(journal) any) {
 			fmt.Fprintf(w, "# HELP %s %s\n", family, help)
-			for _, name := range names {
-				fmt.Fprintf(w, "%s{journal=%q} %v\n", family, name, value(name))
+			for _, j := range journals {
+				fmt.Fprintf(w, "%s{journal=%q} %v\n", family, j.name, value(j))
 			}
 		}
 		walRow("rfserved_wal_appends_total", "records appended to the journal",
-			func(n string) any { return stats[n].Appends })
+			func(j journal) any { return j.st.Appends })
 		walRow("rfserved_wal_append_errors_total", "journal append failures",
-			func(n string) any { return stats[n].AppendErrors })
+			func(j journal) any { return j.st.AppendErrors })
 		walRow("rfserved_wal_fsyncs_total", "group-commit fsync batches",
-			func(n string) any { return stats[n].Fsyncs })
+			func(j journal) any { return j.st.Fsyncs })
 		walRow("rfserved_wal_replayed_records", "records replayed at the last startup",
-			func(n string) any { return stats[n].Replayed })
+			func(j journal) any { return j.st.Replayed })
 		walRow("rfserved_wal_replay_seconds", "wall-clock seconds the last replay took",
-			func(n string) any { return fmt.Sprintf("%.6f", stats[n].ReplayDuration.Seconds()) })
+			func(j journal) any { return fmt.Sprintf("%.6f", j.st.ReplayDuration.Seconds()) })
 		walRow("rfserved_wal_truncated_bytes_total", "torn-tail bytes discarded during recovery",
-			func(n string) any { return stats[n].TruncatedBytes })
+			func(j journal) any { return j.st.TruncatedBytes })
 		walRow("rfserved_wal_compactions_total", "snapshot compactions since start",
-			func(n string) any { return stats[n].Compactions })
+			func(j journal) any { return j.st.Compactions })
 		walRow("rfserved_wal_size_bytes", "live journal bytes on disk",
-			func(n string) any { return journals[n].SizeBytes() })
+			func(j journal) any { return j.log.SizeBytes() })
 	}
 
 	// Warehouse index occupancy and query activity; absent entirely on

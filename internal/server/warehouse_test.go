@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -310,6 +311,14 @@ func TestWarehouseRebuildFromStore(t *testing.T) {
 				waitStatus(t, ts1.URL, ack.StatusURL, func(_ int, state string) bool { return state == "done" })
 				assertIndexed(t, wh1, ack.ID)
 				ids = append(ids, ack.ID)
+			}
+			// The warehouse log reports on /metrics after the server
+			// journal, one append per sealed sweep.
+			m := getMetrics(t, ts1.URL)
+			srvAt := strings.Index(m, `rfserved_wal_appends_total{journal="server"} `)
+			whAt := strings.Index(m, fmt.Sprintf("rfserved_wal_appends_total{journal=\"warehouse\"} %d\n", tc.sweeps))
+			if srvAt < 0 || whAt < srvAt {
+				t.Errorf("/metrics lacks the server journal followed by %d warehouse appends:\n%s", tc.sweeps, m)
 			}
 
 			queries := []string{

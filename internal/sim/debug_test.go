@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"math/rand/v2"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/isa"
 )
 
 func TestTracerRecordsAllStages(t *testing.T) {
@@ -79,6 +81,50 @@ func TestTracerDisabledByDefault(t *testing.T) {
 	got := traced.Run()
 	if plain.IPC != got.IPC || plain.Cycles != got.Cycles {
 		t.Errorf("tracing changed results: %v vs %v", plain.IPC, got.IPC)
+	}
+}
+
+// TestMispredictStallsChargeBranchBucket runs one script with and
+// without mispredicted branches: the cycle fetch waits for a resolved
+// branch's redirect is a branch stall, so the I-cache stall count must
+// not depend on the mispredicts. Every instruction shares one PC, so
+// both runs miss the I-cache exactly once, whatever their fetch groups.
+func TestMispredictStallsChargeBranchBucket(t *testing.T) {
+	const pc = 0x1000
+	script := func(branches bool) *scriptStream {
+		rng := rand.New(rand.NewPCG(1, 2))
+		var in []isa.Instr
+		for i := 0; i < 400; i++ {
+			if i%8 == 7 {
+				if branches {
+					in = append(in, isa.Instr{PC: pc, Class: isa.Branch, Dest: isa.RegNone,
+						Src1: isa.IntReg(1), Src2: isa.RegNone, Taken: rng.IntN(2) == 0, Target: pc})
+				} else {
+					in = append(in, isa.Instr{PC: pc, Class: isa.IntALU, Dest: isa.RegNone,
+						Src1: isa.IntReg(1), Src2: isa.RegNone})
+				}
+				continue
+			}
+			in = append(in, isa.Instr{PC: pc, Class: isa.IntALU, Dest: isa.IntReg(1 + i%4),
+				Src1: isa.IntReg(1 + (i+1)%4), Src2: isa.RegNone})
+		}
+		return &scriptStream{script: in,
+			filler: isa.Instr{PC: pc, Class: isa.IntALU, Dest: isa.IntReg(5), Src1: isa.IntReg(0), Src2: isa.RegNone}}
+	}
+	u := core.Unlimited
+	runScript := func(branches bool) Result {
+		return New(DefaultConfig(Mono1Cycle(u, u), 400), script(branches)).Run()
+	}
+	with, without := runScript(true), runScript(false)
+	if with.Mispredicts == 0 || with.BranchStallCycles == 0 {
+		t.Fatalf("script never mispredicted (mispredicts %d, branch stalls %d)", with.Mispredicts, with.BranchStallCycles)
+	}
+	if without.Mispredicts != 0 || without.BranchStallCycles != 0 {
+		t.Fatalf("branch-free script stalled on branches: %+v", without)
+	}
+	if with.ICacheStallCycles != without.ICacheStallCycles {
+		t.Errorf("I-cache stall cycles %d with %d mispredicts, %d without: mispredicts charged to the I-cache",
+			with.ICacheStallCycles, with.Mispredicts, without.ICacheStallCycles)
 	}
 }
 

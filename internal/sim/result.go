@@ -34,9 +34,10 @@ type Result struct {
 	// FUConflicts counts issue attempts rejected by functional unit
 	// occupancy.
 	FUConflicts uint64
-	// BranchStallCycles counts fetch cycles lost to unresolved
-	// mispredicted branches; the quantity the register file latency
-	// amplifies.
+	// BranchStallCycles counts fetch cycles lost to mispredicted
+	// branches, from the fetch of the branch through the cycle it
+	// resolves in (fetch resumes the cycle after); the quantity the
+	// register file latency amplifies.
 	BranchStallCycles uint64
 	// ICacheStallCycles counts fetch cycles lost to instruction cache
 	// misses.

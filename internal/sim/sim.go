@@ -172,6 +172,10 @@ type Simulator struct {
 
 	fetchResumeAt uint64
 	blockedBranch bool
+	// redirecting marks that fetchResumeAt was set by a mispredicted
+	// branch's resolution rather than an I-cache miss, so the cycle fetch
+	// waits for the redirect counts as a branch stall.
+	redirecting bool
 	// pendingValid marks that the next instruction has already been pulled
 	// from the stream and sits in the fetch-queue slot the next push will
 	// occupy (it stalled on an I-cache miss or a full queue).
@@ -609,6 +613,7 @@ func (s *Simulator) processCompletions(t uint64) {
 				s.blockedBranch = false
 				if s.fetchResumeAt < t+1 {
 					s.fetchResumeAt = t + 1
+					s.redirecting = true
 				}
 			}
 		case isa.Store:
@@ -1063,7 +1068,11 @@ func (s *Simulator) fetch(t uint64) {
 		return
 	}
 	if t < s.fetchResumeAt {
-		s.icacheStallCyc++
+		if s.redirecting {
+			s.branchStallCyc++
+		} else {
+			s.icacheStallCyc++
+		}
 		return
 	}
 	for n := 0; n < s.cfg.FetchWidth && s.fqLen < len(s.fetchQ); n++ {
@@ -1083,6 +1092,7 @@ func (s *Simulator) fetch(t uint64) {
 			res := s.icache.Access(in.PC, false, t)
 			if !res.Hit {
 				s.fetchResumeAt = t + uint64(res.Latency) - 1
+				s.redirecting = false
 				return
 			}
 		}

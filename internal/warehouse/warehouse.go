@@ -101,6 +101,10 @@ type Warehouse struct {
 	ingestErrors  atomic.Uint64
 }
 
+// WAL returns the segment log, for its counters on /metrics. Callers must
+// not append to it or close it.
+func (w *Warehouse) WAL() *wal.WAL { return w.log }
+
 // Open replays the segment log under dir, creating the directory if
 // needed. A record that does not decode is skipped with a log line — the
 // server rebuilds its sweep from the store — so one bad record never

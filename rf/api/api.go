@@ -297,31 +297,34 @@ type RegisterResponse struct {
 	StoreShards int `json:"store_shards,omitempty"`
 }
 
-// TaskResult reports one finished job inside a poll request.
+// TaskResult reports one finished job, by its content key, inside a poll
+// request.
 type TaskResult struct {
-	Task   uint64     `json:"task"`
 	Key    string     `json:"key"`
 	Result sim.Result `json:"result"`
 }
 
-// Assignment hands one job to a worker inside a poll response.
+// Assignment hands one job, named by its content key, to a worker inside
+// a poll response.
 type Assignment struct {
-	Task uint64    `json:"task"`
-	Key  string    `json:"key"`
-	Job  sweep.Job `json:"job"`
+	Key string    `json:"key"`
+	Job sweep.Job `json:"job"`
 }
 
 // PollRequest is the body of POST /v1/workers/{id}/poll: completed
 // results to report plus how many new jobs the worker wants.
 type PollRequest struct {
 	Results []TaskResult `json:"results,omitempty"`
-	// Holding inventories every task id the worker believes it holds —
-	// in-flight simulations plus finished-but-unreported results
-	// (Results included). The coordinator requeues any lease absent from
-	// it: that assignment traveled in a poll response the worker never
-	// received, and would otherwise stay a ghost forever, since the
-	// worker's continued polling keeps renewing the lease.
-	Holding []uint64 `json:"holding,omitempty"`
+	// Holding inventories the content key of every job the worker
+	// believes it holds — in-flight simulations plus
+	// finished-but-unreported results (Results included). The
+	// coordinator requeues any lease absent from it: that assignment
+	// traveled in a poll response the worker never received, and would
+	// otherwise stay a ghost forever, since the worker's continued
+	// polling keeps renewing the lease. A pending job whose key is held
+	// is leased back to this worker instead of being scheduled again,
+	// which is how a restarted coordinator re-adopts running work.
+	Holding []string `json:"holding,omitempty"`
 	Want    int      `json:"want"`
 	// StoreShards is the full shard inventory of the worker's local
 	// result store, in the modulus announced at registration — the
@@ -361,10 +364,11 @@ type FleetStats struct {
 	// Expired counts workers deregistered for missing their lease.
 	Expired uint64 `json:"expired"`
 	// Adopted counts live leases handed back to workers that reported
-	// holding a task the coordinator believed was pending — the
+	// holding a key the coordinator believed was pending — the
 	// crash-resume path (a restarted coordinator re-adopting the fleet's
-	// in-flight work) and the expired-but-alive path. Omitted when zero
-	// so journal-less deployments keep their exact wire bytes.
+	// in-flight work once the server re-submits it) and the
+	// expired-but-alive path. Omitted when zero, so a fleet that never
+	// adopts keeps its exact wire bytes.
 	Adopted uint64 `json:"adopted,omitempty"`
 }
 

@@ -695,6 +695,13 @@ EOF
     || die "warehouse metrics missing segment count: $(echo "$metrics" | grep warehouse || true)"
   echo "$metrics" | grep -q '^rfserved_warehouse_queries_total [1-9]' \
     || die "warehouse query counter never moved: $(echo "$metrics" | grep warehouse || true)"
+  # The warehouse's segment log is a journal on /metrics beside the
+  # server's; a coordinator keeps no journal of its own.
+  echo "$metrics" | grep -q '^rfserved_wal_appends_total{journal="warehouse"} [1-9]' \
+    || die "warehouse log appends missing from /metrics: $(echo "$metrics" | grep '^rfserved_wal_appends' || true)"
+  if echo "$metrics" | grep -q 'journal="coordinator"' || [ -e "$p8waldir/coordinator" ]; then
+    die "coordinator opened a journal of its own under $p8waldir"
+  fi
 
   # Lose the warehouse directory entirely; the restarted coordinator
   # rebuilds the segment from the content-addressed store and answers
