@@ -85,7 +85,7 @@
 // as before: state dies with the process.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: it stops accepting
-// sweeps, cancels running ones, flushes the store index, and exits. See
+// sweeps, cancels running ones, drains store replication, and exits. See
 // the README's "rfserved service" section for the full API.
 package main
 
@@ -347,7 +347,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "rfserved: warehouse close: %v\n", err)
 		}
 	}
-	// Tier replication drains before the local store flushes its index.
+	// Tier replication drains before the local store closes.
 	tiers.Close()
 	if st != nil {
 		if err := st.Close(); err != nil {

@@ -1116,6 +1116,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			func(j journal) any { return j.st.Compactions })
 		walRow("rfserved_wal_size_bytes", "live journal bytes on disk",
 			func(j journal) any { return j.log.SizeBytes() })
+		walRow("rfserved_wal_sync_errors_total", "failed fsyncs; the first poisons the journal",
+			func(j journal) any { return j.st.SyncErrors })
 	}
 
 	// Warehouse index occupancy and query activity; absent entirely on

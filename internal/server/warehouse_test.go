@@ -320,6 +320,13 @@ func TestWarehouseRebuildFromStore(t *testing.T) {
 			if srvAt < 0 || whAt < srvAt {
 				t.Errorf("/metrics lacks the server journal followed by %d warehouse appends:\n%s", tc.sweeps, m)
 			}
+			// Failed fsyncs follow the other journal families, one line
+			// per journal.
+			syncErrs := "rfserved_wal_sync_errors_total{journal=\"server\"} 0\n" +
+				"rfserved_wal_sync_errors_total{journal=\"warehouse\"} 0\n"
+			if at := strings.Index(m, syncErrs); at < 0 || at < strings.Index(m, "rfserved_wal_size_bytes{") {
+				t.Errorf("/metrics lacks the sync-error lines after the journal sizes:\n%s", m)
+			}
 
 			queries := []string{
 				`{"op": "rows"}`,

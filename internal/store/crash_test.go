@@ -120,29 +120,6 @@ func TestCrashTearsObjectFile(t *testing.T) {
 	}
 }
 
-// TestCrashBeforeIndexRename kills the writer after the object file is
-// committed but before the refreshed index lands: the object exists, the
-// index has never heard of it. Reopen must adopt the orphan and serve it.
-func TestCrashBeforeIndexRename(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{})
-	s.Put(key(0), sim.Result{Cycles: 10})
-
-	s.SetRenameHook(crashingRename("index.json"))
-	s.Put(key(1), sim.Result{Cycles: 11})
-
-	re := mustOpen(t, dir, Options{})
-	for i, want := range []uint64{10, 11} {
-		res, ok := re.Get(key(i))
-		if !ok || res.Cycles != want {
-			t.Errorf("entry %d lost to a stale index: ok=%v res=%+v", i, ok, res)
-		}
-	}
-	if n := countTmpFiles(t, dir); n != 0 {
-		t.Errorf("%d temp files survived reopen, want 0", n)
-	}
-}
-
 // TestCrashStormLosesNothingCommitted interleaves successful and killed
 // writers: every Put whose commit completed must survive, every killed
 // one must vanish cleanly, across two consecutive crashes and reopens.

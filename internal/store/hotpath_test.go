@@ -138,71 +138,18 @@ func TestCorruptEntryConcurrentGets(t *testing.T) {
 	}
 }
 
-// TestIndexPersistenceDebounced pins the Put fix: N puts no longer
-// rewrite index.json N times. With the debounce timer disabled the
-// index is written exactly once, by Close.
-func TestIndexPersistenceDebounced(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{FlushInterval: -1})
-	const puts = 50
-	for i := 0; i < puts; i++ {
-		s.Put(key(i), sim.Result{Cycles: uint64(i) + 1})
-	}
-	if got := s.Stats().IndexWrites; got != 0 {
-		t.Fatalf("index written %d times before Close, want 0 (debounce broken)", got)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "index.json")); !os.IsNotExist(err) {
-		t.Fatal("index.json exists before the debounced flush")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Stats().IndexWrites; got != 1 {
-		t.Fatalf("index writes after Close = %d, want 1 (vs %d puts)", got, puts)
-	}
-	// The flushed index carries the full LRU state.
-	s2 := mustOpen(t, dir, Options{})
-	defer s2.Close()
-	if s2.Len() != puts {
-		t.Errorf("reopen found %d entries, want %d", s2.Len(), puts)
-	}
-}
-
-// TestIndexFlushTimerFires covers the timer arm of the debounce: with a
-// short FlushInterval the index is persisted without any Close.
-func TestIndexFlushTimerFires(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{FlushInterval: 10 * time.Millisecond})
-	defer s.Close()
-	s.Put(key(0), sim.Result{Cycles: 1})
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().IndexWrites == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("flush timer never persisted the index")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "index.json")); err != nil {
-		t.Fatalf("index.json missing after timer flush: %v", err)
-	}
-}
-
-// TestCrashBetweenFlushesRecoversObjects is the safety half of the
-// debounce: a process killed before any index flush (no Close, timer
-// never fired) still recovers every committed object, because entry
-// files are durable at Put and load() rebuilds from the objects dir.
+// TestCrashBetweenFlushesRecoversObjects pins that nothing but the
+// entry files needs flushing: a process killed without Close still
+// recovers every committed object, because each one is durable when Put
+// returns and Open lists the objects directory.
 func TestCrashBetweenFlushesRecoversObjects(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{FlushInterval: -1})
+	s := mustOpen(t, dir, Options{})
 	const puts = 20
 	for i := 0; i < puts; i++ {
 		s.Put(key(i), sim.Result{Cycles: uint64(i) + 1})
 	}
-	// Simulated crash: the store is abandoned without Close, with the
-	// index never written.
-	if _, err := os.Stat(filepath.Join(dir, "index.json")); !os.IsNotExist(err) {
-		t.Fatal("index.json written despite disabled flush; crash scenario invalid")
-	}
+	// Simulated crash: the store is abandoned without Close.
 
 	s2 := mustOpen(t, dir, Options{})
 	defer s2.Close()
@@ -293,4 +240,33 @@ func BenchmarkStoreGetParallel(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// BenchmarkStoreOpen measures a reopen of a 500-object store: the
+// directory listing and LRU rebuild every server start pays.
+func BenchmarkStoreOpen(b *testing.B) {
+	dir := b.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const objects = 500
+	for i := 0; i < objects; i++ {
+		s.Put(key(i), sim.Result{Cycles: uint64(i) + 1})
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := Open(dir, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if s.Len() != objects {
+			b.Fatalf("reopened %d of %d objects", s.Len(), objects)
+		}
+		s.Close()
+	}
 }

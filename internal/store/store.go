@@ -7,15 +7,18 @@
 //
 // Layout under the store directory:
 //
-//	index.json          LRU order and sizes (most recent first)
 //	objects/<key>.json  one result per entry, written atomically
+//
+// The objects directory is the store's only index, and an entry file's
+// mtime is its recency: Put and every hit stamp it with time.Now, and
+// Open lists the directory newest mtime first. One clock for both stamps
+// keeps the order whatever the kernel's timestamp granularity.
 //
 // Entry files are written to a temporary file and renamed into place, so
 // a crash mid-write leaves only a stray tmp- file (removed on the next
-// Open), never a half-visible entry. Loading tolerates corruption: a
-// missing or unparsable index is rebuilt from the object files, and a
-// truncated or otherwise undecodable entry is dropped — skipped at open
-// when unindexed, or turned into a miss (and deleted) on first Get.
+// Open), never a half-visible entry. Open decodes nothing: each entry is
+// verified when Get first reads it, and a truncated or otherwise
+// undecodable entry is turned into a counted miss and deleted.
 //
 // The store is size-capped: when the object bytes exceed Options.MaxBytes
 // the least-recently-used entries are evicted. A Store satisfies
@@ -25,13 +28,14 @@
 package store
 
 import (
+	"cmp"
 	"container/list"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -48,18 +52,7 @@ type Options struct {
 	// entries are evicted (never the entry just written, so a single
 	// oversized result is retained until a later Put displaces it).
 	MaxBytes int64
-	// FlushInterval debounces index.json persistence: the index is
-	// written this long after it first becomes dirty, and always on
-	// Close. 0 means DefaultFlushInterval; negative flushes only on
-	// Close. Entry files are always durable immediately — a crash
-	// between flushes loses at most LRU ordering, and load() re-adopts
-	// every committed object from the objects directory regardless.
-	FlushInterval time.Duration
 }
-
-// DefaultFlushInterval is the index debounce used when
-// Options.FlushInterval is zero.
-const DefaultFlushInterval = 500 * time.Millisecond
 
 // Stats counts store activity since Open.
 type Stats struct {
@@ -73,8 +66,9 @@ type Stats struct {
 	// IOErrors counts writes that failed; the store degrades to a smaller
 	// cache rather than failing the sweep.
 	IOErrors uint64 `json:"io_errors"`
-	// IndexWrites counts index.json persists. With debounced flushing
-	// this stays far below Puts on a hot sweep.
+	// IndexWrites is always 0: the store keeps no index file.
+	//
+	// Deprecated: it remains only for the benchmark's per-layer report.
 	IndexWrites uint64 `json:"index_writes"`
 }
 
@@ -87,7 +81,6 @@ type entry struct {
 // Store is a disk-backed, LRU-evicting, content-addressed result store.
 // It is safe for concurrent use.
 type Store struct {
-	dir     string
 	objects string
 	opts    Options
 	// rename commits a finished temp file; os.Rename outside tests. The
@@ -98,26 +91,11 @@ type Store struct {
 	// released. Tests use it to prove concurrent hits overlap.
 	readHook func(sweep.Key)
 
-	mu           sync.Mutex
-	entries      map[sweep.Key]*list.Element
-	lru          *list.List // front = most recently used
-	total        int64
-	stats        Stats
-	dirty        bool // index order changed since last persist
-	flushPending bool // an index flush timer is armed
-	closed       bool
-	flush        time.Duration // resolved Options.FlushInterval
-}
-
-// indexFile is the on-disk schema of index.json.
-type indexFile struct {
-	Schema  int          `json:"schema"`
-	Entries []indexEntry `json:"entries"` // most recently used first
-}
-
-type indexEntry struct {
-	Key  string `json:"key"`
-	Size int64  `json:"size"`
+	mu      sync.Mutex
+	entries map[sweep.Key]*list.Element
+	lru     *list.List // front = most recently used
+	total   int64
+	stats   Stats
 }
 
 // entryFile is the on-disk schema of one objects/<key>.json file. The
@@ -131,16 +109,11 @@ type entryFile struct {
 // Open loads (or initializes) the store rooted at dir.
 func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{
-		dir:     dir,
 		objects: filepath.Join(dir, "objects"),
 		opts:    opts,
 		rename:  os.Rename,
 		entries: make(map[sweep.Key]*list.Element),
 		lru:     list.New(),
-		flush:   opts.FlushInterval,
-	}
-	if s.flush == 0 {
-		s.flush = DefaultFlushInterval
 	}
 	if err := os.MkdirAll(s.objects, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -154,14 +127,19 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// load populates the in-memory index from index.json and the objects
-// directory, tolerating corruption in both.
+// load lists the objects directory into the LRU, newest mtime first and
+// ties broken by key. Nothing is decoded here: Get verifies each entry
+// when it first reads it.
 func (s *Store) load() error {
 	names, err := os.ReadDir(s.objects)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	onDisk := make(map[sweep.Key]int64, len(names))
+	type found struct {
+		e     *entry
+		mtime time.Time
+	}
+	all := make([]found, 0, len(names))
 	for _, de := range names {
 		name := de.Name()
 		// A crash between CreateTemp and rename leaves a tmp- file;
@@ -178,59 +156,14 @@ func (s *Store) load() error {
 		if err != nil {
 			continue
 		}
-		onDisk[key] = info.Size()
+		all = append(all, found{&entry{key: key, size: info.Size()}, info.ModTime()})
 	}
-
-	// Adopt the index order where it is intact; entries whose file
-	// vanished are dropped, sizes are re-stated from disk.
-	var idx indexFile
-	if data, err := os.ReadFile(filepath.Join(s.dir, "index.json")); err == nil {
-		if json.Unmarshal(data, &idx) != nil || idx.Schema != 1 {
-			idx.Entries = nil // corrupt index: rebuild from files below
-		}
-	}
-	for _, ie := range idx.Entries {
-		key := sweep.Key(ie.Key)
-		size, ok := onDisk[key]
-		if !ok {
-			continue
-		}
-		if _, dup := s.entries[key]; dup {
-			continue
-		}
-		s.entries[key] = s.lru.PushBack(&entry{key: key, size: size})
-		s.total += size
-		delete(onDisk, key)
-	}
-
-	// Files the index does not know about (crash before the index write,
-	// or a rebuilt index) are adopted after probing that they decode;
-	// truncated leftovers are deleted, not fatal. Adopted entries rank
-	// behind indexed ones, newest first among themselves.
-	orphans := make([]sweep.Key, 0, len(onDisk))
-	for key := range onDisk {
-		orphans = append(orphans, key)
-	}
-	sort.Slice(orphans, func(i, j int) bool {
-		mi, _ := os.Stat(s.path(orphans[i]))
-		mj, _ := os.Stat(s.path(orphans[j]))
-		if mi == nil || mj == nil {
-			return orphans[i] < orphans[j]
-		}
-		if !mi.ModTime().Equal(mj.ModTime()) {
-			return mi.ModTime().After(mj.ModTime())
-		}
-		return orphans[i] < orphans[j]
+	slices.SortFunc(all, func(a, b found) int {
+		return cmp.Or(b.mtime.Compare(a.mtime), cmp.Compare(a.e.key, b.e.key))
 	})
-	for _, key := range orphans {
-		if _, err := s.read(key); err != nil {
-			s.drop(key)
-			s.stats.Corrupt++
-			continue
-		}
-		s.entries[key] = s.lru.PushBack(&entry{key: key, size: onDisk[key]})
-		s.total += onDisk[key]
-		s.dirty = true
+	for _, f := range all {
+		s.entries[f.e.key] = s.lru.PushBack(f.e)
+		s.total += f.e.size
 	}
 	return nil
 }
@@ -285,15 +218,21 @@ func (s *Store) read(k sweep.Key) (sim.Result, error) {
 	return ef.Result, nil
 }
 
-// drop removes an entry's file and index state, if present.
+// drop removes an entry's file and LRU state, if present.
 func (s *Store) drop(k sweep.Key) {
 	os.Remove(s.path(k))
 	if el, ok := s.entries[k]; ok {
 		s.total -= el.Value.(*entry).size
 		s.lru.Remove(el)
 		delete(s.entries, k)
-		s.dirty = true
 	}
+}
+
+// stamp records a use of k in its entry file's mtime. Callers take now
+// under s.mu, in LRU order, and stamp after releasing it. A failed stamp
+// only ages the entry; one evicted meanwhile has no file to stamp.
+func (s *Store) stamp(k sweep.Key, now time.Time) {
+	os.Chtimes(s.path(k), now, now)
 }
 
 // Get returns the stored result for a key. A corrupt entry counts as a
@@ -320,10 +259,9 @@ func (s *Store) Get(k sweep.Key) (sim.Result, bool) {
 	res, err := s.read(k)
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	el, present := s.entries[k]
 	if err != nil {
-		// Only a still-indexed entry is corruption; if a concurrent
+		// Only a still-resident entry is corruption; if a concurrent
 		// eviction removed the entry (and its file) mid-read, this is
 		// an ordinary miss.
 		if present {
@@ -331,16 +269,20 @@ func (s *Store) Get(k sweep.Key) (sim.Result, bool) {
 			s.stats.Corrupt++
 		}
 		s.stats.Misses++
+		s.mu.Unlock()
 		return sim.Result{}, false
-	}
-	if present {
-		s.lru.MoveToFront(el)
-		s.dirty = true
-		s.scheduleFlushLocked()
 	}
 	// The read succeeded against an immutable entry file, so the result
 	// is valid even if the entry was evicted while we read it.
 	s.stats.Hits++
+	if present {
+		s.lru.MoveToFront(el)
+	}
+	now := time.Now()
+	s.mu.Unlock()
+	if present {
+		s.stamp(k, now)
+	}
 	return res, true
 }
 
@@ -354,20 +296,21 @@ func (s *Store) Put(k sweep.Key, res sim.Result) {
 		return
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if el, ok := s.entries[k]; ok {
 		s.lru.MoveToFront(el)
-		s.dirty = true
-		s.scheduleFlushLocked()
+		now := time.Now()
+		s.mu.Unlock()
+		s.stamp(k, now)
 		return
 	}
+	defer s.mu.Unlock()
 	data, err := json.Marshal(entryFile{Key: string(k), Result: res})
 	if err != nil {
 		s.stats.IOErrors++
 		return
 	}
 	data = append(data, '\n')
-	if err := s.writeAtomic(s.path(k), data); err != nil {
+	if err := s.writeAtomic(s.path(k), data, time.Now()); err != nil {
 		s.stats.IOErrors++
 		return
 	}
@@ -375,48 +318,24 @@ func (s *Store) Put(k sweep.Key, res sim.Result) {
 	s.total += int64(len(data))
 	s.stats.Puts++
 	s.evictLocked(k)
-	// The entry file above is already durable; the index is only LRU
-	// order, so its persistence is debounced instead of rewritten per
-	// insert (which re-marshaled the full index — O(n²) bytes over an
-	// n-job sweep). A crash before the flush recovers every committed
-	// object through load()'s rebuild-from-objects path.
-	s.dirty = true
-	s.scheduleFlushLocked()
-}
-
-// scheduleFlushLocked arms a one-shot index flush FlushInterval from
-// now, unless one is already pending or the debounce is disabled.
-func (s *Store) scheduleFlushLocked() {
-	if s.flushPending || s.closed || s.flush < 0 {
-		return
-	}
-	s.flushPending = true
-	time.AfterFunc(s.flush, s.flushIndex)
-}
-
-// flushIndex is the timer callback behind scheduleFlushLocked.
-func (s *Store) flushIndex() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.flushPending = false
-	if s.closed || !s.dirty {
-		return
-	}
-	s.persistLocked()
 }
 
 // writeAtomic writes data to path via a tmp- file in the objects
 // directory plus rename, so readers never observe a partial entry. The
-// tmp file is fsynced before the rename: without it, a machine crash
-// shortly after the rename can leave the final name pointing at
-// zero-length or partial content, which a journaled coordinator would
-// then trust as a completed result on resume.
-func (s *Store) writeAtomic(path string, data []byte) error {
+// tmp file's mtime is set to now, and the file is fsynced before the
+// rename: without the fsync, a machine crash shortly after the rename
+// can leave the final name pointing at zero-length or partial content,
+// which a journaled server would then trust as a completed result on
+// resume.
+func (s *Store) writeAtomic(path string, data []byte, now time.Time) error {
 	tmp, err := os.CreateTemp(s.objects, "tmp-*")
 	if err != nil {
 		return err
 	}
 	_, werr := tmp.Write(data)
+	if werr == nil {
+		werr = os.Chtimes(tmp.Name(), now, now)
+	}
 	if werr == nil {
 		werr = tmp.Sync()
 	}
@@ -455,36 +374,12 @@ func (s *Store) evictLocked(keep sweep.Key) {
 	}
 }
 
-// persistLocked writes index.json atomically; failures are counted, not
-// fatal (the index rebuilds from object files on the next Open).
-func (s *Store) persistLocked() {
-	idx := indexFile{Schema: 1}
-	for el := s.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
-		idx.Entries = append(idx.Entries, indexEntry{Key: string(e.key), Size: e.size})
-	}
-	data, err := json.MarshalIndent(idx, "", " ")
-	if err != nil {
-		s.stats.IOErrors++
-		return
-	}
-	if err := s.writeAtomic(filepath.Join(s.dir, "index.json"), append(data, '\n')); err != nil {
-		s.stats.IOErrors++
-		return
-	}
-	s.stats.IndexWrites++
-	s.dirty = false
-}
-
-// Close flushes a dirty index and disarms the debounce timer. The store
+// Close reports whether any write failed since Open. Every entry is
+// durable when Put returns, so there is nothing to flush. The store
 // must not be used after Close.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dirty {
-		s.persistLocked()
-	}
-	s.closed = true // a pending flushIndex becomes a no-op
 	if s.stats.IOErrors > 0 {
 		return fmt.Errorf("store: %d write errors (see Stats)", s.stats.IOErrors)
 	}
@@ -572,6 +467,6 @@ func (s *Store) ShardInventory(n int) []int {
 	for sh := range held {
 		out = append(out, sh)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -146,8 +147,64 @@ func TestOversizedEntryRetained(t *testing.T) {
 	}
 }
 
+// TestReopenRanksByMtime pins that an entry file's mtime is its
+// recency: Open ranks entries newest mtime first, and a hit stamps the
+// entry so the next Open ranks it first. Presence is checked on disk,
+// since a Get would itself stamp the entry.
+func TestReopenRanksByMtime(t *testing.T) {
+	res := sim.Result{Cycles: 1}
+	size := entrySize(t, res)
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	for i := 0; i < 5; i++ {
+		s.Put(key(i), res)
+	}
+	s.Close()
+	// Newest first: 2, 0, 3, 4, 1 — neither the Put order nor key order.
+	base := time.Now().Add(-time.Hour)
+	for age, i := range []int{2, 0, 3, 4, 1} {
+		mt := base.Add(-time.Duration(age) * time.Minute)
+		if err := os.Chtimes(s.path(key(i)), mt, mt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	onDisk := func(i int) bool {
+		_, err := os.Stat(s.path(key(i)))
+		return err == nil
+	}
+	requireEvicted := func(step string, gone int, kept ...int) {
+		t.Helper()
+		if onDisk(gone) {
+			t.Fatalf("%s: entry %d survived, want it evicted as least recent", step, gone)
+		}
+		for _, i := range kept {
+			if !onDisk(i) {
+				t.Fatalf("%s: entry %d evicted out of mtime order", step, i)
+			}
+		}
+	}
+
+	// Room for four entries: Open evicts the oldest mtime.
+	opts := Options{MaxBytes: 4*size + size/2}
+	s2 := mustOpen(t, dir, opts)
+	requireEvicted("open", 1, 0, 2, 3, 4)
+	// A hit on 3 makes it the newest across a reopen.
+	if _, ok := s2.Get(key(3)); !ok {
+		t.Fatal("resident entry 3 missed")
+	}
+	s2.Close()
+
+	s3 := mustOpen(t, dir, opts)
+	defer s3.Close()
+	s3.Put(key(5), res)
+	requireEvicted("first put after reopen", 4, 0, 2, 3, 5)
+	s3.Put(key(6), res)
+	requireEvicted("second put after reopen", 0, 2, 3, 5, 6)
+}
+
 // TestTruncatedEntrySkipped simulates a crash that corrupts an entry
-// file: loading must succeed and the entry must degrade to a miss.
+// file: loading must succeed, Open must not decode the entry, and the
+// entry must be counted and deleted at its first Get.
 func TestTruncatedEntrySkipped(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{})
@@ -155,7 +212,7 @@ func TestTruncatedEntrySkipped(t *testing.T) {
 	s.Put(key(1), sim.Result{Cycles: 2})
 	s.Close()
 
-	// Truncate entry 0 mid-JSON (indexed entry → discovered on Get).
+	// Truncate entry 0 mid-JSON.
 	p0 := filepath.Join(dir, "objects", string(key(0))+".json")
 	data, err := os.ReadFile(p0)
 	if err != nil {
@@ -166,6 +223,13 @@ func TestTruncatedEntrySkipped(t *testing.T) {
 	}
 
 	s2 := mustOpen(t, dir, Options{})
+	defer s2.Close()
+	if st := s2.Stats(); st.Corrupt != 0 || s2.Len() != 2 {
+		t.Errorf("Open decoded entries: corrupt = %d, len = %d, want 0 and 2", st.Corrupt, s2.Len())
+	}
+	if _, err := os.Stat(p0); err != nil {
+		t.Errorf("Open touched the truncated entry before any Get: %v", err)
+	}
 	if _, ok := s2.Get(key(0)); ok {
 		t.Error("truncated entry served a result")
 	}
@@ -173,49 +237,47 @@ func TestTruncatedEntrySkipped(t *testing.T) {
 		t.Error("intact entry lost alongside the corrupt one")
 	}
 	if st := s2.Stats(); st.Corrupt != 1 {
-		t.Errorf("corrupt count = %d, want 1", st.Corrupt)
+		t.Errorf("corrupt count after first Get = %d, want 1", st.Corrupt)
 	}
 	if _, err := os.Stat(p0); !os.IsNotExist(err) {
 		t.Error("corrupt entry file not removed")
 	}
-	s2.Close()
-
-	// Same crash with the index also gone (unindexed entry → probed and
-	// dropped at Open).
-	s3 := mustOpen(t, dir, Options{})
-	s3.Put(key(0), sim.Result{Cycles: 1})
-	s3.Close()
-	if err := os.WriteFile(p0, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
+	// Once deleted, the entry is an ordinary miss.
+	if _, ok := s2.Get(key(0)); ok {
+		t.Error("deleted entry served a result")
 	}
-	if err := os.Remove(filepath.Join(dir, "index.json")); err != nil {
-		t.Fatal(err)
-	}
-	s4 := mustOpen(t, dir, Options{})
-	defer s4.Close()
-	if _, ok := s4.Get(key(0)); ok {
-		t.Error("truncated orphan entry served a result")
-	}
-	if st := s4.Stats(); st.Corrupt != 1 {
-		t.Errorf("corrupt count after orphan probe = %d, want 1", st.Corrupt)
-	}
-	if got, ok := s4.Get(key(1)); !ok || got.Cycles != 2 {
-		t.Error("intact entry lost during index rebuild")
+	if st := s2.Stats(); st.Corrupt != 1 || s2.Len() != 1 {
+		t.Errorf("after the second Get: corrupt = %d, len = %d, want 1 and 1", st.Corrupt, s2.Len())
 	}
 }
 
+// TestCorruptIndexRebuilt pins that an index.json left by an older
+// release is ignored, whatever it holds: every object still serves.
 func TestCorruptIndexRebuilt(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{})
 	s.Put(key(0), sim.Result{Cycles: 9})
+	s.Put(key(1), sim.Result{Cycles: 10})
 	s.Close()
-	if err := os.WriteFile(filepath.Join(dir, "index.json"), []byte(`{"schema":`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s2 := mustOpen(t, dir, Options{})
-	defer s2.Close()
-	if got, ok := s2.Get(key(0)); !ok || got.Cycles != 9 {
-		t.Error("entries lost under a corrupt index")
+	for _, index := range []string{
+		``,
+		`{"schema":`,
+		`{"schema":1,"entries":[]}`,
+		fmt.Sprintf(`{"schema":1,"entries":[{"key":%q,"size":1}]}`, key(2)),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, "index.json"), []byte(index), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s2 := mustOpen(t, dir, Options{})
+		if s2.Len() != 2 {
+			t.Errorf("index %q: len = %d, want 2", index, s2.Len())
+		}
+		for i, want := range []uint64{9, 10} {
+			if got, ok := s2.Get(key(i)); !ok || got.Cycles != want {
+				t.Errorf("index %q: entry %d lost", index, i)
+			}
+		}
+		s2.Close()
 	}
 }
 

@@ -28,8 +28,8 @@ func (w *WAL) SetRenameHook(f func(oldpath, newpath string) error) {
 	w.rename = f
 }
 
-// Failed reports whether a write error has poisoned the journal. Tests
-// only.
+// Failed reports whether a write or fsync error has poisoned the
+// journal. Tests only.
 func (w *WAL) Failed() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()

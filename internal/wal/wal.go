@@ -28,6 +28,10 @@
 // rotation and Compact still sync under that lock, as barriers; the
 // Append that rotates, and any queued behind a barrier, waits for it.
 //
+// A failed fsync poisons the journal, like a failed write. It is never
+// retried: on Linux a retried fsync can succeed after the kernel dropped
+// the pages that failed to reach the disk.
+//
 // Recovery (Open) tolerates torn tails: the record chain is replayed
 // until the first frame that is short, oversized, or fails its CRC, the
 // damaged segment is truncated at the last good record, and any segment
@@ -64,6 +68,9 @@ const (
 	segSuffix      = ".wal"
 )
 
+// errFailed is what a poisoned journal answers every later call with.
+var errFailed = errors.New("wal: journal failed on an earlier write or fsync error")
+
 // Options configures a WAL. The zero value is usable.
 type Options struct {
 	// SegmentBytes is the rotation threshold: the active segment is
@@ -86,8 +93,10 @@ type Stats struct {
 	Appends      uint64 `json:"appends"`
 	AppendErrors uint64 `json:"append_errors"`
 	// Fsyncs counts group-commit and explicit syncs whose fsync(2)
-	// succeeded.
-	Fsyncs uint64 `json:"fsyncs"`
+	// succeeded; SyncErrors counts those that failed, each of which
+	// poisons the journal.
+	Fsyncs     uint64 `json:"fsyncs"`
+	SyncErrors uint64 `json:"sync_errors"`
 	// Replayed is how many records Open recovered (after the snapshot);
 	// ReplayDuration is how long recovery took.
 	Replayed       uint64        `json:"replayed"`
@@ -132,7 +141,7 @@ type WAL struct {
 	snapData  []byte   // recovered snapshot payload, until Replay drops it
 	replay    [][]byte // recovered post-snapshot payloads, until Replay drains them
 	dirty     bool     // active segment has unsynced appends
-	failed    bool     // a write error left the tail unknown; journal is read-only
+	failed    bool     // a write or fsync error left the tail unknown; journal is read-only
 	closed    bool
 	stats     Stats
 
@@ -372,11 +381,10 @@ func (w *WAL) Replay(fn func(index uint64, payload []byte) error) error {
 // after the next group-commit fsync. The returned index identifies the
 // record in the global chain.
 //
-// A write error, or a failed fsync of the segment an Append retires,
-// poisons the journal: the tail state is unknown, so every subsequent
-// Append fails too (counted in Stats.AppendErrors) rather than risk
-// interleaving good records with torn ones. Callers degrade to running
-// unjournaled.
+// A write error, or any failed fsync, poisons the journal: the tail
+// state is unknown, so every subsequent Append fails too (counted in
+// Stats.AppendErrors) rather than risk interleaving good records with
+// torn ones. Callers degrade to running unjournaled.
 func (w *WAL) Append(payload []byte) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -385,7 +393,7 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 		return 0, errors.New("wal: closed")
 	case w.failed:
 		w.stats.AppendErrors++
-		return 0, errors.New("wal: journal failed on an earlier write error")
+		return 0, errFailed
 	case len(payload) > maxRecordBytes:
 		w.stats.AppendErrors++
 		return 0, fmt.Errorf("wal: record of %d bytes exceeds the %d limit", len(payload), maxRecordBytes)
@@ -447,11 +455,10 @@ func (w *WAL) openSegmentLocked() error {
 
 // rotateLocked retires the active segment (synced, so rotation doubles
 // as a durability barrier); the next Append opens a fresh one. A failed
-// barrier fsync poisons the journal: the retired segment's records may
-// not be on disk, so nothing may be appended after them.
+// barrier fsync has poisoned the journal: the retired segment's records
+// may not be on disk, so nothing may be appended after them.
 func (w *WAL) rotateLocked() error {
 	err := w.syncLocked()
-	w.failed = err != nil // Append runs this only on a journal not yet failed
 	w.f.Close()
 	w.f = nil
 	w.segBytes = 0
@@ -460,11 +467,16 @@ func (w *WAL) rotateLocked() error {
 
 // Sync forces an fsync of the active segment. The fsync runs after mu is
 // released, so Appends proceed meanwhile; one that lands during it marks
-// the segment dirty for the next Sync.
+// the segment dirty for the next Sync. A failed fsync poisons the
+// journal.
 func (w *WAL) Sync() error {
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
 	w.mu.Lock()
+	if w.failed {
+		w.mu.Unlock()
+		return errFailed
+	}
 	f, fsync := w.f, w.sync
 	if !w.dirty || f == nil {
 		w.mu.Unlock()
@@ -476,12 +488,14 @@ func (w *WAL) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err != nil {
-		// A rotation that retired f meanwhile synced it under mu first
-		// (Compact takes syncMu, so it cannot run in this window); only
-		// the active segment can be left unsynced.
-		if f == w.f {
-			w.dirty = true
+		// A rotation that retired and closed f in this window synced it
+		// under mu first: the rotating Append dirtied f, and Compact
+		// takes syncMu, so it cannot run here.
+		if f != w.f && errors.Is(err, os.ErrClosed) {
+			return nil
 		}
+		w.failed = true
+		w.stats.SyncErrors++
 		return err
 	}
 	w.stats.Fsyncs++
@@ -494,6 +508,8 @@ func (w *WAL) syncLocked() error {
 		return nil
 	}
 	if err := w.sync(w.f); err != nil {
+		w.failed = true
+		w.stats.SyncErrors++
 		return err
 	}
 	w.dirty = false
@@ -502,7 +518,8 @@ func (w *WAL) syncLocked() error {
 }
 
 // syncLoop is the group-commit goroutine: it coalesces appends landing
-// within SyncInterval of each other into one fsync.
+// within SyncInterval of each other into one fsync. It drops Sync's
+// error: a failed fsync has poisoned the journal, and Append reports it.
 func (w *WAL) syncLoop() {
 	defer close(w.done)
 	for {
@@ -539,8 +556,11 @@ func (w *WAL) Compact(snapshot []byte) error {
 	defer w.syncMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
+	switch {
+	case w.closed:
 		return errors.New("wal: closed")
+	case w.failed:
+		return errFailed
 	}
 	// The snapshot must never describe state from records the disk does
 	// not yet hold durably: sync and retire the active segment first.

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -422,22 +423,91 @@ func TestWALAppendDuringSync(t *testing.T) {
 	}
 
 	// The append that landed during the fsync is unsynced. A failing
-	// fsync keeps it so, and the next Sync retries.
+	// fsync poisons the journal: it is not retried, even once fsync
+	// works again, and the next Append fails.
 	w.SetSyncHook(func(*os.File) error { return errors.New("injected: fsync failed") })
 	if err := w.Sync(); err == nil {
 		t.Fatal("Sync with a failing fsync returned nil")
 	}
-	if st := w.Stats(); st.Fsyncs != 1 {
-		t.Errorf("failed fsync counted: %d fsyncs, want 1", st.Fsyncs)
-	}
 	w.SetSyncHook((*os.File).Sync)
-	for i := 0; i < 2; i++ { // the second Sync finds the segment clean
-		if err := w.Sync(); err != nil {
-			t.Fatalf("Sync after a failed fsync: %v", err)
+	if err := w.Sync(); err == nil {
+		t.Fatal("Sync after a failed fsync returned nil")
+	}
+	if _, err := w.Append(payload(2)); err == nil {
+		t.Fatal("Append after a failed fsync returned nil error")
+	}
+	if st := w.Stats(); st.Fsyncs != 1 || st.SyncErrors != 1 {
+		t.Errorf("stats: %d fsyncs / %d sync errors, want 1 / 1", st.Fsyncs, st.SyncErrors)
+	}
+}
+
+// TestWALSyncLoopFailurePoisons fails the group-commit fsync, whose
+// error syncLoop drops: the failure must still poison the journal, be
+// counted once, and never be retried.
+func TestWALSyncLoopFailurePoisons(t *testing.T) {
+	w := mustOpen(t, t.TempDir(), Options{SyncInterval: time.Millisecond})
+	var calls atomic.Int32
+	w.SetSyncHook(func(*os.File) error {
+		calls.Add(1)
+		return errors.New("injected: fsync failed")
+	})
+	appendN(t, w, 0, 1)
+	deadline := time.Now().Add(5 * time.Second)
+	for !w.Failed() {
+		if time.Now().After(deadline) {
+			t.Fatal("a failed group-commit fsync did not poison the journal")
 		}
-		if st := w.Stats(); st.Fsyncs != 2 {
-			t.Errorf("Sync %d after the failure: %d fsyncs, want 2", i+1, st.Fsyncs)
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := w.Append(payload(1)); err == nil {
+		t.Fatal("Append after a failed group-commit fsync returned nil error")
+	}
+	// Close runs the group commit's final Sync, the last chance to retry.
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("fsync attempted %d times, want 1", n)
+	}
+	if st := w.Stats(); st.SyncErrors != 1 || st.Fsyncs != 0 || st.AppendErrors != 1 {
+		t.Errorf("stats: %+v, want 1 sync error, 0 fsyncs, 1 append error", st)
+	}
+}
+
+// TestWALSyncOfRetiredSegment is the one fsync error that is not a
+// failure: a rotation closes the segment a Sync is about to fsync. The
+// rotation's barrier synced that segment first, so the journal stays
+// healthy.
+func TestWALSyncOfRetiredSegment(t *testing.T) {
+	w := mustOpen(t, t.TempDir(), Options{SegmentBytes: 64, SyncInterval: -1})
+	defer w.Close()
+	appendN(t, w, 0, 1)
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	w.SetSyncHook(func(f *os.File) error {
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-release
 		}
+		return f.Sync()
+	})
+	synced := make(chan error, 1)
+	go func() { synced <- w.Sync() }()
+	<-entered
+	// Three more 19-byte frames pass 64 bytes: the last Append rotates,
+	// syncing and closing the segment the Sync above holds.
+	appendN(t, w, 1, 3)
+	close(release)
+	if err := <-synced; err != nil {
+		t.Fatalf("Sync of a segment rotation retired: %v", err)
+	}
+	if w.Failed() {
+		t.Fatal("a Sync racing a rotation poisoned the journal")
+	}
+	appendN(t, w, 4, 1)
+	if st := w.Stats(); st.SyncErrors != 0 || st.Fsyncs != 1 {
+		t.Errorf("stats: %+v, want 0 sync errors and the rotation's 1 fsync", st)
 	}
 }
 
