@@ -430,12 +430,12 @@ func (c *Coordinator) Stats() Stats {
 // The wire documents of the protocol live in rf/api, shared with
 // rf/client so the two sides cannot drift.
 
+// writeJSON answers with v as one compact line: json.Marshal(v) and a
+// newline.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {

@@ -4,13 +4,18 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/tenant"
 	"repro/internal/wal"
+	"repro/internal/warehouse"
+	"repro/rf/api"
 )
 
 // gridSpec is the paper's Figure 6 grid: all 18 SPEC95 proxies × the six
@@ -105,6 +110,91 @@ func BenchmarkServerRecover(b *testing.B) {
 				b.StartTimer()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
+		})
+	}
+}
+
+// queryMixDocs are the query-mix workload's four /v1/query documents,
+// in its rotation order.
+var queryMixDocs = []struct{ name, doc string }{
+	{"series", `{"op":"series"}`},
+	{"aggregate", `{"op":"aggregate","group_by":["family"],"metrics":[{"op":"mean","metric":"ipc"}]}`},
+	{"pareto", `{"op":"pareto"}`},
+	{"rows", `{"op":"rows","limit":100,"families":["rfcache"]}`},
+}
+
+// BenchmarkQueryResponse measures the HTTP layer of a warehouse query:
+// each query-mix document is served through the real handler over 561
+// sealed copies of the 18×6 grid, the size of that workload's
+// warehouse, and its answer is decoded the way rf/client decodes it.
+// The warehouse's scan is resumed after the first ask, as it is for the
+// workload's repeats, so an iteration is mostly the response's encode
+// and decode. It also reports the body size (B/body) and the decode
+// alone (decode-ns/op).
+func BenchmarkQueryResponse(b *testing.B) {
+	spec, err := sweep.ParseSpec(strings.NewReader(gridSpec))
+	if err != nil {
+		b.Fatal(err)
+	}
+	jobs, err := spec.Jobs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Full-precision rates, as simulated rows carry them.
+	rows := make([]sweep.Row, len(jobs))
+	for i, j := range jobs {
+		n := j.Config.MaxInstructions
+		res := sim.Result{
+			Instructions: n, Cycles: n/2 + uint64(i*7919%50021),
+			Branches: n / 7, Mispredicts: uint64(i * 131 % 997),
+			ICacheMissRate: float64(i%13) / 977, DCacheMissRate: float64(i%17) / 313,
+		}
+		res.IPC = float64(res.Instructions) / float64(res.Cycles)
+		rows[i] = sweep.RowOf(j, sweep.Outcome{Result: res, Key: j.Key()})
+	}
+	wh, err := warehouse.Open(b.TempDir(), warehouse.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer wh.Close()
+	for s := 1; s <= 561; s++ {
+		id := fmt.Sprintf("s%06d", s)
+		wh.Begin(id, "grid", tenant.Anonymous, len(jobs))
+		for i, j := range jobs {
+			wh.Add(id, i, j, rows[i])
+		}
+		if err := wh.Seal(id); err != nil {
+			b.Fatal(err)
+		}
+	}
+	srv := New(Config{Simulate: fakeSim, Warehouse: wh})
+	defer srv.Shutdown(context.Background())
+
+	for _, d := range queryMixDocs {
+		ask := func() (size int, decode time.Duration) {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(d.doc)))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("%s: status %d: %s", d.name, rec.Code, rec.Body)
+			}
+			size = rec.Body.Len()
+			start := time.Now()
+			var res api.QueryResult
+			if err := json.NewDecoder(rec.Body).Decode(&res); err != nil {
+				b.Fatal(err)
+			}
+			return size, time.Since(start)
+		}
+		size, _ := ask() // the first scan reads all 561 segments
+		b.Run(d.name, func(b *testing.B) {
+			var decode time.Duration
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, dt := ask()
+				decode += dt
+			}
+			b.ReportMetric(float64(size), "B/body")
+			b.ReportMetric(float64(decode.Nanoseconds())/float64(b.N), "decode-ns/op")
 		})
 	}
 }

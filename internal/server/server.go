@@ -385,12 +385,12 @@ func (s *Server) RunJob(j sweep.Job) sim.Result {
 	return s.runner.RunOutcomes([]sweep.Job{j}, 1)[0].Result
 }
 
+// writeJSON answers with v as one compact line: json.Marshal(v) and a
+// newline.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -637,16 +637,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) execute(ctx context.Context, run *sweepRun, jobs []sweep.Job) {
 	defer s.wg.Done()
 	// Resume-aware job selection: run only the jobs with no completed
-	// row, reporting progress under each job's original index. For a
-	// fresh sweep this is the identity mapping; for a recovered one it
-	// is exactly the work the crash interrupted.
+	// row, reporting progress under each job's original index. A fresh
+	// sweep runs jobs as they are (a nil remap is the identity); a
+	// recovered one runs exactly the work the crash interrupted.
+	todo, remap := jobs, []int(nil)
 	run.mu.Lock()
-	remap := make([]int, 0, len(jobs))
-	todo := make([]sweep.Job, 0, len(jobs))
-	for i := range jobs {
-		if run.rows[i].Key == "" {
-			remap = append(remap, i)
-			todo = append(todo, jobs[i])
+	if run.completed > 0 {
+		todo = nil
+		for i := range jobs {
+			if run.rows[i].Key == "" {
+				remap = append(remap, i)
+				todo = append(todo, jobs[i])
+			}
 		}
 	}
 	run.mu.Unlock()
@@ -656,7 +658,10 @@ func (s *Server) execute(ctx context.Context, run *sweepRun, jobs []sweep.Job) {
 	// dispatcher's priority queue.
 	ctx = tenant.NewContext(ctx, tenant.Admission{Tenant: run.tenant, Priority: run.priority})
 	_, err := s.runner.RunOutcomesContext(ctx, todo, run.parallelism, func(p sweep.Progress) {
-		idx := remap[p.Index]
+		idx := p.Index
+		if remap != nil {
+			idx = remap[p.Index]
+		}
 		row := sweep.RowOf(p.Job, sweep.Outcome{Result: p.Result, Key: p.Key, Cached: p.Cached})
 		// Journaled before publishing: a row a client may have streamed
 		// must survive the crash that follows it.

@@ -30,3 +30,14 @@ func (s *Store) SetReadHook(f func(k sweep.Key)) {
 func (t *Tiers) SetHedgeAfter(d time.Duration) {
 	t.hedgeAfter = d
 }
+
+// LRUKeys lists the resident keys, most recently used first. Tests only.
+func (s *Store) LRUKeys() []sweep.Key {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var keys []sweep.Key
+	for el := s.lru.Front(); el != nil; el = el.Next() {
+		keys = append(keys, el.Value.(*entry).key)
+	}
+	return keys
+}

@@ -10,9 +10,10 @@
 //	objects/<key>.json  one result per entry, written atomically
 //
 // The objects directory is the store's only index, and an entry file's
-// mtime is its recency: Put and every hit stamp it with time.Now, and
-// Open lists the directory newest mtime first. One clock for both stamps
-// keeps the order whatever the kernel's timestamp granularity.
+// mtime is its recency: Put and every hit that moves an entry to the
+// LRU front stamp it with time.Now, and Open lists the directory newest
+// mtime first. One clock for both stamps keeps the order whatever the
+// kernel's timestamp granularity.
 //
 // Entry files are written to a temporary file and renamed into place, so
 // a crash mid-write leaves only a stray tmp- file (removed on the next
@@ -202,9 +203,9 @@ func (s *Store) path(k sweep.Key) string {
 	return filepath.Join(s.objects, string(k)+".json")
 }
 
-// read loads and verifies one entry file.
-func (s *Store) read(k sweep.Key) (sim.Result, error) {
-	data, err := os.ReadFile(s.path(k))
+// read loads and verifies k's entry file at path.
+func read(path string, k sweep.Key) (sim.Result, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return sim.Result{}, err
 	}
@@ -228,11 +229,23 @@ func (s *Store) drop(k sweep.Key) {
 	}
 }
 
-// stamp records a use of k in its entry file's mtime. Callers take now
-// under s.mu, in LRU order, and stamp after releasing it. A failed stamp
-// only ages the entry; one evicted meanwhile has no file to stamp.
-func (s *Store) stamp(k sweep.Key, now time.Time) {
-	os.Chtimes(s.path(k), now, now)
+// touchLocked moves el to the LRU front and reports whether it moved;
+// s.mu must be held. An entry already at the front needs no stamp: its
+// file already holds the newest one.
+func (s *Store) touchLocked(el *list.Element) bool {
+	if el == s.lru.Front() {
+		return false
+	}
+	s.lru.MoveToFront(el)
+	return true
+}
+
+// stamp records a use of the entry file at path in its mtime. Callers
+// take now under s.mu, in LRU order, and stamp after releasing it. A
+// failed stamp only ages the entry; one evicted meanwhile has no file to
+// stamp.
+func stamp(path string, now time.Time) {
+	os.Chtimes(path, now, now)
 }
 
 // Get returns the stored result for a key. A corrupt entry counts as a
@@ -256,7 +269,8 @@ func (s *Store) Get(k sweep.Key) (sim.Result, bool) {
 	if s.readHook != nil {
 		s.readHook(k)
 	}
-	res, err := s.read(k)
+	path := s.path(k)
+	res, err := read(path, k)
 
 	s.mu.Lock()
 	el, present := s.entries[k]
@@ -275,13 +289,11 @@ func (s *Store) Get(k sweep.Key) (sim.Result, bool) {
 	// The read succeeded against an immutable entry file, so the result
 	// is valid even if the entry was evicted while we read it.
 	s.stats.Hits++
-	if present {
-		s.lru.MoveToFront(el)
-	}
+	moved := present && s.touchLocked(el)
 	now := time.Now()
 	s.mu.Unlock()
-	if present {
-		s.stamp(k, now)
+	if moved {
+		stamp(path, now)
 	}
 	return res, true
 }
@@ -297,10 +309,12 @@ func (s *Store) Put(k sweep.Key, res sim.Result) {
 	}
 	s.mu.Lock()
 	if el, ok := s.entries[k]; ok {
-		s.lru.MoveToFront(el)
+		moved := s.touchLocked(el)
 		now := time.Now()
 		s.mu.Unlock()
-		s.stamp(k, now)
+		if moved {
+			stamp(s.path(k), now)
+		}
 		return
 	}
 	defer s.mu.Unlock()

@@ -202,6 +202,66 @@ func TestReopenRanksByMtime(t *testing.T) {
 	requireEvicted("second put after reopen", 0, 2, 3, 5, 6)
 }
 
+// TestHitStampsOnlyWhenMoved pins when a hit writes the entry's mtime:
+// a hit on the entry already at the LRU front leaves its file alone
+// (it already holds the newest stamp), any other hit stamps it, and
+// after a mixed run of hits a reopened store ranks the entries in the
+// LRU order the first one held.
+func TestHitStampsOnlyWhenMoved(t *testing.T) {
+	res := sim.Result{Cycles: 1}
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	for i := 0; i < 4; i++ {
+		s.Put(key(i), res)
+	}
+	// Old, distinct stamps in LRU order (3 newest), so any new stamp shows.
+	base := time.Now().Add(-time.Hour)
+	for i := 0; i < 4; i++ {
+		mt := base.Add(time.Duration(i) * time.Minute)
+		if err := os.Chtimes(s.path(key(i)), mt, mt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mtime := func(i int) time.Time {
+		t.Helper()
+		info, err := os.Stat(s.path(key(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.ModTime()
+	}
+	hit := func(i int) {
+		t.Helper()
+		if _, ok := s.Get(key(i)); !ok {
+			t.Fatalf("resident entry %d missed", i)
+		}
+	}
+
+	before := mtime(3)
+	hit(3)
+	if got := mtime(3); !got.Equal(before) {
+		t.Errorf("hit on the LRU front restamped it: %v -> %v", before, got)
+	}
+	before = mtime(1)
+	hit(1)
+	if got := mtime(1); !got.After(before) {
+		t.Errorf("hit that moved entry 1 left its mtime at %v (was %v)", got, before)
+	}
+
+	for _, i := range []int{1, 0, 0, 2, 3, 1, 1, 2} {
+		hit(i)
+	}
+	want := s.LRUKeys()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := mustOpen(t, dir, Options{})
+	defer s2.Close()
+	if got := s2.LRUKeys(); !reflect.DeepEqual(got, want) {
+		t.Errorf("reopened LRU order = %v, want %v", got, want)
+	}
+}
+
 // TestTruncatedEntrySkipped simulates a crash that corrupts an entry
 // file: loading must succeed, Open must not decode the entry, and the
 // entry must be counted and deleted at its first Get.

@@ -147,12 +147,18 @@ func (s *Spec) Jobs() ([]Job, error) {
 	if len(seeds) == 0 {
 		seeds = []uint64{0}
 	}
-	var jobs []Job
+	expanded := make([][]arch.Point, len(s.Architectures))
+	n := 0
 	for i := range s.Architectures {
 		points, err := s.Architectures[i].Expand()
 		if err != nil {
 			return nil, err
 		}
+		expanded[i] = points
+		n += len(points)
+	}
+	jobs := make([]Job, 0, n*len(profiles)*len(seeds))
+	for _, points := range expanded {
 		for _, pt := range points {
 			for _, p := range profiles {
 				for _, seed := range seeds {

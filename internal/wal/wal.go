@@ -147,7 +147,7 @@ type WAL struct {
 
 	syncc chan struct{}
 	stop  chan struct{}
-	done  chan struct{}
+	done  chan error // the stop-time sync's result
 }
 
 // Open loads (or initializes) the journal rooted at dir, recovering the
@@ -169,7 +169,7 @@ func Open(dir string, opts Options) (*WAL, error) {
 		next:   1,
 		syncc:  make(chan struct{}, 1),
 		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		done:   make(chan error, 1),
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
@@ -518,14 +518,14 @@ func (w *WAL) syncLocked() error {
 }
 
 // syncLoop is the group-commit goroutine: it coalesces appends landing
-// within SyncInterval of each other into one fsync. It drops Sync's
-// error: a failed fsync has poisoned the journal, and Append reports it.
+// within SyncInterval of each other into one fsync. It drops the error
+// of a group commit's Sync: a failed fsync has poisoned the journal, and
+// Append reports it. The final Sync at stop reports to Close.
 func (w *WAL) syncLoop() {
-	defer close(w.done)
+	defer func() { w.done <- w.Sync() }()
 	for {
 		select {
 		case <-w.stop:
-			w.Sync()
 			return
 		case <-w.syncc:
 			if w.opts.SyncInterval < 0 {
@@ -536,7 +536,6 @@ func (w *WAL) syncLoop() {
 			case <-t.C:
 			case <-w.stop:
 				t.Stop()
-				w.Sync()
 				return
 			}
 			w.Sync()
@@ -631,8 +630,9 @@ func (w *WAL) Stats() Stats {
 	return w.stats
 }
 
-// Close flushes and closes the journal. The WAL must not be used after
-// Close.
+// Close flushes and closes the journal, returning the final fsync's
+// error (a poisoned journal's error) and the active segment's close
+// error. The WAL must not be used after Close.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	if w.closed {
@@ -642,14 +642,14 @@ func (w *WAL) Close() error {
 	w.closed = true
 	w.mu.Unlock()
 	close(w.stop)
-	<-w.done // the final sync has run
+	err := <-w.done
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f != nil {
-		w.f.Close()
+		err = errors.Join(err, w.f.Close())
 		w.f = nil
 	}
-	return nil
+	return err
 }
 
 // syncDir fsyncs a directory so a freshly created or renamed entry

@@ -462,15 +462,45 @@ func TestWALSyncLoopFailurePoisons(t *testing.T) {
 	if _, err := w.Append(payload(1)); err == nil {
 		t.Fatal("Append after a failed group-commit fsync returned nil error")
 	}
-	// Close runs the group commit's final Sync, the last chance to retry.
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
+	// Close runs the group commit's final Sync, the last chance to retry:
+	// it must not fsync again, and it reports the poisoned journal.
+	if err := w.Close(); err == nil {
+		t.Fatal("Close of a poisoned journal returned nil error")
 	}
 	if n := calls.Load(); n != 1 {
 		t.Errorf("fsync attempted %d times, want 1", n)
 	}
 	if st := w.Stats(); st.SyncErrors != 1 || st.Fsyncs != 0 || st.AppendErrors != 1 {
 		t.Errorf("stats: %+v, want 1 sync error, 0 fsyncs, 1 append error", st)
+	}
+}
+
+// TestWALCloseReportsFinalSyncFailure pins that Close returns the error
+// of its final fsync: records appended without a group commit are only
+// made durable there, and a failure poisons the journal as any other.
+func TestWALCloseReportsFinalSyncFailure(t *testing.T) {
+	w := mustOpen(t, t.TempDir(), Options{SyncInterval: -1})
+	appendN(t, w, 0, 3)
+	injected := errors.New("injected: fsync failed")
+	var calls atomic.Int32
+	w.SetSyncHook(func(*os.File) error {
+		calls.Add(1)
+		return injected
+	})
+	if err := w.Close(); !errors.Is(err, injected) {
+		t.Fatalf("Close = %v, want the final fsync's error", err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("fsync attempted %d times, want 1", n)
+	}
+	if !w.Failed() {
+		t.Error("a failed final fsync did not poison the journal")
+	}
+	if st := w.Stats(); st.SyncErrors != 1 || st.Fsyncs != 0 {
+		t.Errorf("stats: %+v, want 1 sync error, 0 fsyncs", st)
+	}
+	if err := w.Close(); err != nil {
+		t.Errorf("second Close = %v, want nil", err)
 	}
 }
 
